@@ -1,73 +1,52 @@
-"""Integer linear-algebra kernels with a compiled fast path.
+"""Integer linear-algebra kernels with an optional compiled fast path.
 
 Two interchangeable backends implement the same flat-sequence API:
 
-* ``_fast`` -- Cython, checked int64 arithmetic. Raises OverflowError when an
-  entry or result leaves its guaranteed-exact range.
-* ``_pure`` -- plain Python, arbitrary precision. Always exact.
+* ``_fast`` -- Cython, checked int64 arithmetic; present only when the
+  extension was built. Raises OverflowError when an entry or result leaves
+  its guaranteed-exact range. It converts entries to C integers without
+  checking their type, so a Fraction entry would be silently truncated.
+* ``_pure`` -- plain Python, arbitrary precision, exact on ints and Fractions.
 
-The dispatchers below try the compiled backend first and rerun the call on
-the pure backend whenever the fast path bails out (big entries, or non-int
-entries such as Fractions). Set MUKAITWIST_PURE_KERNELS=1 to skip the
-compiled backend entirely.
+Matrix arguments are IntMatrix data, hence ints; vector arguments may hold
+Fractions. One rule dispatches every kernel: a call whose vector entries
+are all ints runs on ``_fast`` and reruns on ``_pure`` only when ``_fast``
+raises OverflowError; a call with any other vector entry, such as a
+Fraction, runs on ``_pure``; any other exception propagates. Without
+``_fast`` the kernels are the ``_pure`` functions themselves.
 """
-import importlib
-import os
-
 from . import _pure
 
-_fast = None
-if os.environ.get("MUKAITWIST_PURE_KERNELS") != "1":
-    try:
-        _fast = importlib.import_module("._fast", __name__)
-    except ImportError:
-        _fast = None
+try:
+    from . import _fast
+except ImportError:
+    _fast = None
 
 BACKEND = "cython" if _fast is not None else "pure"
 
-_FALLBACK = (OverflowError, TypeError)
 
+def _kernel(name: str, *vector_args: int):
+    """The dispatched kernel `name`; `vector_args` are the positions that may hold Fractions."""
+    pure = getattr(_pure, name)
+    if _fast is None:
+        return pure
+    fast = getattr(_fast, name)
 
-def matmul(a, b, n, k, m):
-    if _fast is not None:
+    def kernel(*args):
+        for i in vector_args:
+            # A sum of ints is an int; one Fraction entry makes it a Fraction.
+            if type(sum(args[i])) is not int:
+                return pure(*args)
         try:
-            return _fast.matmul(a, b, n, k, m)
-        except _FALLBACK:
-            pass
-    return _pure.matmul(a, b, n, k, m)
+            return fast(*args)
+        except OverflowError:
+            return pure(*args)
+
+    return kernel
 
 
-def matvec(a, v, n, m):
-    if _fast is not None:
-        try:
-            return _fast.matvec(a, v, n, m)
-        except _FALLBACK:
-            pass
-    return _pure.matvec(a, v, n, m)
-
-
-def bilinear(g, u, v, n):
-    if _fast is not None:
-        try:
-            return _fast.bilinear(g, u, v, n)
-        except _FALLBACK:
-            pass
-    return _pure.bilinear(g, u, v, n)
-
-
-def quadform(g, v, n):
-    if _fast is not None:
-        try:
-            return _fast.quadform(g, v, n)
-        except _FALLBACK:
-            pass
-    return _pure.quadform(g, v, n)
-
-
-def norm_scan(g, n, target, bound):
-    if _fast is not None:
-        try:
-            return _fast.norm_scan(g, n, target, bound)
-        except _FALLBACK:
-            pass
-    return _pure.norm_scan(g, n, target, bound)
+matmul = _kernel("matmul")
+matvec = _kernel("matvec", 1)
+bilinear = _kernel("bilinear", 1, 2)
+quadform = _kernel("quadform", 1)
+norm_scan = _kernel("norm_scan")

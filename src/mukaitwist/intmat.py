@@ -76,6 +76,12 @@ class IntMatrix:
         return cls(nrows, ncols, flat)
 
     @classmethod
+    def of_map(cls, f, n: int) -> "IntMatrix":
+        """The n x n matrix of a linear map f on Z^n: column j is f(e_j)."""
+        cols = [f(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+        return cls(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._raw(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 

@@ -243,7 +243,11 @@ class CohomologySpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "CohomologySpec":
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(
+                f"top level: {path} is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from exc
         except json.JSONDecodeError as exc:
             raise SpecFormatError(f"top level: invalid JSON ({exc})") from exc
         return cls.from_dict(data)

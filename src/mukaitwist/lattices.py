@@ -11,7 +11,7 @@ Basis conventions (pinned so tests are reproducible):
   to node 5, diagonal 2, adjacency -1. minus_e8 is its negation.
 * mukai_h2 = minus_e8 + minus_e8 + U + U + U in coordinate order
   (x: 1..8, y: 9..16, z1: 17..18, z2: 19..20, z3: 21..22); the K3 cover
-  involution is then a literal signed permutation, see cover_involution_h2.
+  involution is then a literal signed permutation, see cover_involution_coords.
 """
 from __future__ import annotations
 
@@ -76,20 +76,14 @@ class Lattice:
 class Isometry:
     """A form-preserving automorphism of a lattice, acting on coordinate columns.
 
-    Construction checks M^T G M = G, and |det M| = 1 (implied by the Gram
-    identity whenever det G != 0, so it is only recomputed on degenerate
-    forms).
+    Construction raises ValueError unless is_isometry holds.
     """
 
     __slots__ = ("lattice", "matrix")
 
     def __init__(self, lattice: Lattice, matrix: IntMatrix):
-        if matrix.shape != (lattice.rank, lattice.rank):
-            raise ValueError(f"matrix shape {matrix.shape} != rank {lattice.rank}")
-        if matrix.transpose() @ lattice.gram @ matrix != lattice.gram:
-            raise ValueError("matrix does not preserve the Gram form")
-        if lattice.det() == 0 and determinant(matrix) not in (1, -1):
-            raise ValueError("matrix is not unimodular")
+        if not is_isometry(lattice, matrix):
+            raise ValueError("matrix does not preserve the Gram form or is not unimodular")
         self.lattice = lattice
         self.matrix = matrix
 
@@ -113,12 +107,16 @@ class Isometry:
 
 
 def is_isometry(lattice: Lattice, matrix: IntMatrix) -> bool:
-    """True iff M^T G M = G and |det M| = 1."""
+    """True iff M^T G M = G and |det M| = 1.
+
+    The Gram identity gives det(M)^2 det G = det G, so |det M| = 1 is only
+    computed when det G = 0.
+    """
     if matrix.shape != (lattice.rank, lattice.rank):
         raise ValueError(f"matrix shape {matrix.shape} != rank {lattice.rank}")
     if matrix.transpose() @ lattice.gram @ matrix != lattice.gram:
         return False
-    return determinant(matrix) in (1, -1)
+    return lattice.det() != 0 or determinant(matrix) in (1, -1)
 
 
 def _e8_gram() -> IntMatrix:
@@ -180,15 +178,16 @@ Z2_SLICE = slice(18, 20)
 Z3_SLICE = slice(20, 22)
 
 
+def cover_involution_coords(c: tuple) -> tuple:
+    """The K3 cover involution on mukai_h2 coordinates: (x,y,z1,z2,z3) -> (y,x,z2,z1,-z3)."""
+    z3 = c[Z3_SLICE]
+    return c[Y_SLICE] + c[X_SLICE] + c[Z2_SLICE] + c[Z1_SLICE] + (-z3[0], -z3[1])
+
+
 @lru_cache(maxsize=None)
 def cover_involution_h2() -> Isometry:
-    """The K3 cover involution on mukai_h2: (x,y,z1,z2,z3) -> (y,x,z2,z1,-z3)."""
-    src = list(range(8, 16)) + list(range(0, 8)) + [18, 19, 16, 17, 20, 21]
-    sgn = [1] * 20 + [-1, -1]
-    rows = [[0] * 22 for _ in range(22)]
-    for i in range(22):
-        rows[i][src[i]] = sgn[i]
-    return Isometry(standard_lattice("mukai_h2"), IntMatrix.from_rows(rows))
+    """The K3 cover involution on mukai_h2, as an isometry."""
+    return Isometry(standard_lattice("mukai_h2"), IntMatrix.of_map(cover_involution_coords, 22))
 
 
 def fixed_sublattice(

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .intmat import IntMatrix
-from .lattices import Isometry, Lattice, cover_involution_h2, standard_lattice
+from .lattices import Isometry, Lattice, cover_involution_coords, standard_lattice
 
 Scalar = Union[int, Fraction]
 
@@ -164,9 +164,7 @@ def mukai_pairing(u: MukaiVector, v: MukaiVector) -> Scalar:
 
 def cover_involution(v: MukaiVector) -> MukaiVector:
     """Extend the K3 cover involution by the identity on H0 and H4."""
-    c = v.c
-    swapped = c[8:16] + c[0:8] + c[18:20] + c[16:18] + (-c[20], -c[21])
-    return MukaiVector(v.r, swapped, v.s)
+    return MukaiVector(v.r, cover_involution_coords(v.c), v.s)
 
 
 def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
@@ -188,15 +186,16 @@ def twisted_involution(v: MukaiVector) -> MukaiVector:
     Closed form: with z3 = (a, b),
 
         T(r, (x, y, z1, z2, z3), s)
-            = (r, (y, x, z2, z1, (r - a, r - b)), s - a - b + r).
+            = (r, (y, x, z2, z1, (r - a, r - b)), s - a - b + r),
 
-    The composition route exp_b(2 b0, cover_involution(v)) is kept as an
-    independent oracle in the test suite.
+    that is, the cover involution on c with r added to its z3 block, and s
+    shifted by r - a - b. The composition route exp_b(2 b0, cover_involution(v))
+    is kept as an independent oracle in the test suite.
     """
-    c = v.c
-    a, b = c[20], c[21]
-    swapped = c[8:16] + c[0:8] + c[18:20] + c[16:18] + (v.r - a, v.r - b)
-    return MukaiVector(v.r, swapped, v.s - a - b + v.r)
+    r = v.r
+    a, b = v.c[20], v.c[21]
+    c = cover_involution_coords(v.c)[:20] + (r - a, r - b)
+    return MukaiVector(r, c, v.s - a - b + r)
 
 
 @lru_cache(maxsize=None)
@@ -210,23 +209,19 @@ def full_lattice() -> Lattice:
     return Lattice(IntMatrix.from_rows(rows), "mukai_full")
 
 
+def _full_isometry(f) -> Isometry:
+    """The isometry of the full lattice given by an integral map f on MukaiVectors."""
+    matrix = IntMatrix.of_map(lambda coords: f(MukaiVector.from_coords(coords)).coords(), FULL_RANK)
+    return Isometry(full_lattice(), matrix)
+
+
 @lru_cache(maxsize=None)
 def twisted_involution_matrix() -> Isometry:
     """The 24x24 integer matrix of the twisted involution, as an isometry."""
-    cols = []
-    for i in range(FULL_RANK):
-        e = MukaiVector.from_coords(tuple(1 if i == j else 0 for j in range(FULL_RANK)))
-        cols.append(twisted_involution(e).coords())
-    entries = [cols[j][i] for i in range(FULL_RANK) for j in range(FULL_RANK)]
-    return Isometry(full_lattice(), IntMatrix(FULL_RANK, FULL_RANK, entries))
+    return _full_isometry(twisted_involution)
 
 
 @lru_cache(maxsize=None)
 def cover_involution_matrix() -> Isometry:
     """The 24x24 matrix of the cover involution extended to the full lattice."""
-    cols = []
-    for i in range(FULL_RANK):
-        e = MukaiVector.from_coords(tuple(1 if i == j else 0 for j in range(FULL_RANK)))
-        cols.append(cover_involution(e).coords())
-    entries = [cols[j][i] for i in range(FULL_RANK) for j in range(FULL_RANK)]
-    return Isometry(full_lattice(), IntMatrix(FULL_RANK, FULL_RANK, entries))
+    return _full_isometry(cover_involution)

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .intmat import IntMatrix, solve
+from .intmat import IntMatrix, determinant, solve
 from .lattices import (
     Isometry,
     Lattice,
@@ -75,6 +75,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.coord_bound < 1:
             raise ValueError("coord_bound must be >= 1")
 
@@ -92,17 +94,10 @@ class VerificationReport:
 
     def summary(self) -> dict:
         """Everything except timing; equal summaries mean identical runs."""
-        out = {
-            "name": self.check_name,
-            "passed": self.passed,
-            "trials_run": self.trials_run,
-            "config": dict(self.config),
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+        return self.check_json() | {"config": dict(self.config)}
 
     def check_json(self) -> dict:
+        """The check's entry in a JSON report."""
         out = {
             "name": self.check_name,
             "passed": self.passed,
@@ -275,59 +270,35 @@ def verify_invariant_lattice() -> VerificationReport:
     (det +-1); half form odd (an odd diagonal entry); (0,0,1) lies in the
     invariant lattice and is characteristic for the half form.
     """
-    from .intmat import determinant
-
     started = time.perf_counter()
-    config: dict = {}
-    basis, gram = _invariant_basis()
-    checks = 0
-    counterexample = None
+    checks, counterexample = _invariant_lattice_checks(*_invariant_basis())
+    return _report("invariant-lattice", {}, started, checks, counterexample)
 
-    def fail(reason: str, **extra) -> dict:
-        out = {"reason": reason}
-        out.update(extra)
-        return out
 
-    while True:  # single pass; while lets failures break out
-        checks += 1
-        if basis.cols != 12:
-            counterexample = fail("invariant lattice has wrong rank", rank=basis.cols)
-            break
-        checks += 1
-        if any(e % 2 for e in gram.flat):
-            counterexample = fail("Gram form of invariant lattice is not even")
-            break
-        half = IntMatrix(gram.rows, gram.cols, [e // 2 for e in gram.flat])
-        checks += 1
-        half_det = determinant(half)
-        if half_det not in (1, -1):
-            counterexample = fail("half form is not unimodular", det=half_det)
-            break
-        checks += 1
-        if all(half[i, i] % 2 == 0 for i in range(half.rows)):
-            counterexample = fail("half form is even; expected an odd form")
-            break
-        point = point_class().coords()
-        point_coords = solve(basis, point)
-        checks += 1
-        if point_coords is None:
-            raise RuntimeError("(0,0,1) is not in the computed invariant lattice; kernel basis is wrong")
-        checks += 1
-        half_point = half.mul_vec(point_coords)
-        bad = [
-            i
-            for i in range(half.rows)
-            if (half_point[i] - half[i, i]) % 2 != 0
-        ]
-        if bad:
-            counterexample = fail(
-                "(0,0,1) is not characteristic for the half form",
-                basis_indices=bad,
-                point_in_basis=list(point_coords),
-            )
-            break
-        break
-    return _report("invariant-lattice", config, started, checks, counterexample)
+def _invariant_lattice_checks(basis: IntMatrix, gram: IntMatrix) -> tuple[int, dict | None]:
+    """Run the invariant-lattice checks in order: (checks run, first failure or None)."""
+    if basis.cols != 12:
+        return 1, {"reason": "invariant lattice has wrong rank", "rank": basis.cols}
+    if any(e % 2 for e in gram.flat):
+        return 2, {"reason": "Gram form of invariant lattice is not even"}
+    half = IntMatrix(gram.rows, gram.cols, [e // 2 for e in gram.flat])
+    half_det = determinant(half)
+    if half_det not in (1, -1):
+        return 3, {"reason": "half form is not unimodular", "det": half_det}
+    if all(half[i, i] % 2 == 0 for i in range(half.rows)):
+        return 4, {"reason": "half form is even; expected an odd form"}
+    point_coords = solve(basis, point_class().coords())
+    if point_coords is None:
+        return 5, {"reason": "(0,0,1) is not in the computed invariant lattice"}
+    half_point = half.mul_vec(point_coords)
+    bad = [i for i in range(half.rows) if (half_point[i] - half[i, i]) % 2 != 0]
+    if bad:
+        return 6, {
+            "reason": "(0,0,1) is not characteristic for the half form",
+            "basis_indices": bad,
+            "point_in_basis": list(point_coords),
+        }
+    return 6, None
 
 
 @lru_cache(maxsize=None)

@@ -67,6 +67,14 @@ class TestKtheoryCommand:
         assert code == 2
         assert "h3.torsion" in err
 
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff")
+        code, _, err = run(capsys, "ktheory", "--input", str(bad))
+        assert code == 2
+        assert str(bad) in err
+        assert "UTF-8" in err
+
     def test_enriques_requires_twist_choice(self, capsys):
         code, _, err = run(capsys, "ktheory", "--enriques")
         assert code == 2
@@ -176,6 +184,22 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "claims", "--trials", "-5")
         assert code == 2
         assert "trials" in err
+
+    @pytest.mark.parametrize("suite", ["claims", "phi-integrality"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_usage_error(self, capsys, suite, seed):
+        code, out, err = run(capsys, "verify", suite, "--trials", "1", "--seed", str(seed))
+        assert code == 2
+        assert "seed" in err
+        assert out == ""
+
+    def test_invariant_lattice_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "solve", lambda basis, target: None)
+        code, doc, _ = run_json(capsys, "verify", "claims", "--trials", "1", "--json")
+        assert code == 1
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["invariant-lattice"]
+        assert "not in the computed invariant lattice" in failed[0]["counterexample"]["reason"]
 
 
 class TestArgparseBehavior:

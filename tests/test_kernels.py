@@ -94,3 +94,60 @@ def test_dispatcher_matches_pure_near_boundary(seed):
         u = tuple(rng.randint(-bound, bound) for _ in range(n))
         v = tuple(rng.randint(-bound, bound) for _ in range(n))
         assert _kernels.bilinear(g, u, v, n) == _pure.bilinear(g, u, v, n)
+
+
+def test_dispatcher_rational_vectors_are_exact():
+    half = Fraction(1, 2)
+    g = (2, 1, 1, 2)
+    assert _kernels.quadform(g, (half, 1), 2) == _pure.quadform(g, (half, 1), 2) == Fraction(7, 2)
+    assert _kernels.matvec(g, (half, half), 2, 2) == [Fraction(3, 2), Fraction(3, 2)]
+
+
+class FakeFast:
+    """Stands in for the compiled backend: counts calls, answers or raises."""
+
+    def __init__(self, error=None):
+        self.calls = 0
+        self.error = error
+
+    def bilinear(self, g, u, v, n):
+        self.calls += 1
+        if self.error is not None:
+            raise self.error
+        return "fast"
+
+
+def dispatched_bilinear(monkeypatch, fake):
+    monkeypatch.setattr(_kernels, "_fast", fake)
+    return _kernels._kernel("bilinear", 1, 2)
+
+
+class TestDispatchRule:
+    G = (0, 1, 1, 0)
+
+    def test_int_vectors_run_fast(self, monkeypatch):
+        fake = FakeFast()
+        assert dispatched_bilinear(monkeypatch, fake)(self.G, (1, 1), (1, 1), 2) == "fast"
+        assert fake.calls == 1
+
+    def test_rational_vectors_never_reach_fast(self, monkeypatch):
+        fake = FakeFast()
+        bilinear = dispatched_bilinear(monkeypatch, fake)
+        half = Fraction(1, 2)
+        assert bilinear(self.G, (half, half), (1, 1), 2) == 1
+        assert bilinear(self.G, (1, 1), (half, Fraction(3, 2)), 2) == 2
+        assert fake.calls == 0
+
+    def test_overflow_reruns_on_pure(self, monkeypatch):
+        fake = FakeFast(OverflowError("entry exceeds fast-kernel bound"))
+        assert dispatched_bilinear(monkeypatch, fake)(self.G, (1, 1), (1, 1), 2) == 2
+        assert fake.calls == 1
+
+    def test_other_errors_propagate(self, monkeypatch):
+        fake = FakeFast(TypeError("bug in the fast path"))
+        with pytest.raises(TypeError, match="bug in the fast path"):
+            dispatched_bilinear(monkeypatch, fake)(self.G, (1, 1), (1, 1), 2)
+
+    def test_without_fast_the_kernels_are_pure(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_fast", None)
+        assert _kernels._kernel("bilinear", 1, 2) is _pure.bilinear

@@ -6,6 +6,7 @@ import pytest
 from mukaitwist import (
     IntMatrix,
     Isometry,
+    Lattice,
     definiteness,
     determinant,
     direct_sum,
@@ -134,6 +135,22 @@ class TestIsometry:
     def test_unimodular_but_not_gram_preserving(self):
         m = IntMatrix.from_rows([[1, 1], [0, 1]])
         assert not is_isometry(U, m)
+
+    def test_degenerate_form_needs_unimodular_matrix(self):
+        # On Gram [[0]] every matrix preserves the form; only det decides.
+        null = Lattice(IntMatrix.from_rows([[0]]))
+        doubling = IntMatrix.from_rows([[2]])
+        assert not is_isometry(null, doubling)
+        with pytest.raises(ValueError):
+            Isometry(null, doubling)
+        assert is_isometry(null, IntMatrix.from_rows([[-1]]))
+
+    def test_cover_involution_is_the_signed_permutation(self):
+        # (x, y, z1, z2, z3) -> (y, x, z2, z1, -z3), written out entry by entry.
+        src = list(range(8, 16)) + list(range(0, 8)) + [18, 19, 16, 17, 20, 21]
+        sgn = [1] * 20 + [-1, -1]
+        rows = [[sgn[i] if j == src[i] else 0 for j in range(22)] for i in range(22)]
+        assert cover_involution_h2().matrix == IntMatrix.from_rows(rows)
 
 
 class TestFixedSublattice:

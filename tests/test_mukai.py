@@ -102,6 +102,11 @@ class TestCoverInvolution:
             v = random_integral(rng, 9)
             assert tuple(m(v.coords())) == cover_involution(v).coords()
 
+    def test_h2_matrix_is_the_degree_two_block(self):
+        full = cover_involution_matrix().matrix.to_rows()
+        block = [row[1:23] for row in full[1:23]]
+        assert cover_involution_h2().matrix.to_rows() == block
+
 
 class TestBField:
     def test_canonical_coordinates(self):

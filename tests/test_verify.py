@@ -76,6 +76,13 @@ class TestInvariantLattice:
         assert report.passed
         assert report.counterexample is None
 
+    def test_point_outside_lattice_is_a_counterexample(self, monkeypatch):
+        monkeypatch.setattr(verify, "solve", lambda basis, target: None)
+        report = verify_invariant_lattice()
+        assert not report.passed
+        assert report.counterexample == {"reason": "(0,0,1) is not in the computed invariant lattice"}
+        assert report.trials_run == 5
+
     def test_rank_agrees_with_anti_invariant(self):
         basis_plus, _ = verify._invariant_basis()
         t = twisted_involution_matrix()
@@ -209,3 +216,8 @@ class TestTrialConfig:
             TrialConfig(trials=-1)
         with pytest.raises(ValueError):
             TrialConfig(coord_bound=0)
+        with pytest.raises(ValueError, match="seed"):
+            TrialConfig(seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            TrialConfig(seed=2**64)
+        assert TrialConfig(seed=2**64 - 1).seed == 2**64 - 1
