@@ -4,7 +4,7 @@ Usage:
     python benchmarks/bench_kernels.py [--quick]
 
 Workloads mirror the hot paths of the verification suites: 24x24 matrix
-products (isometry words), rank-22 bilinear forms (Mukai pairings), and the
+products (isometry checks), rank-22 bilinear forms (Mukai pairings), and the
 norm box scan that harvests reflection vectors. Entries stay within the
 fast path's checked-int64 range, as they do in the real suites.
 """

@@ -63,29 +63,43 @@ def quadform(g, v, n, _bilinear=bilinear):
 
 
 def norm_scan(g, n, target, bound):
-    """All v in the box [-bound, bound]^n with v^T G v == target, in lex order."""
-    from itertools import product
+    """All v in the box [-bound, bound]^n with v^T G v == target, in lex order.
 
-    diag = [g[i * n + i] for i in range(n)]
-    pairs = [
-        (i, j, 2 * g[i * n + j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if g[i * n + j]
-    ]
+    A depth-first walk over the coordinates, leftmost first, so hits come out
+    in lexicographic order. With v_0..v_{k-1} fixed it carries the partial
+    form q = Q(v_0..v_{k-1}, 0, ..) and the linear forms lin[j] =
+    2 sum_{i<k} g_ij v_i, so choosing v_k = x adds x (lin[k] + g_kk x) to q
+    and 2 g_kj x to each later lin[j]. A box point then costs O(1)
+    amortised, not a pass over the whole form.
+    """
+    if n == 0:
+        return [()] if target == 0 else []
+    xs = range(-bound, bound + 1)
+    diag = [g[k * n + k] for k in range(n)]
+    # Twice the nonzero strictly-upper entries of row k: how v_k feeds later lin[j].
+    couplings = [[(j, 2 * g[k * n + j]) for j in range(k + 1, n) if g[k * n + j]] for k in range(n)]
+    last = n - 1
+    prefix = [0] * n
     hits = []
-    for v in product(range(-bound, bound + 1), repeat=n):
-        q = 0
-        for i, d in enumerate(diag):
-            vi = v[i]
-            if d and vi:
-                q += d * vi * vi
-        for i, j, w in pairs:
-            vi = v[i]
-            if vi:
-                vj = v[j]
-                if vj:
-                    q += w * vi * vj
-        if q == target:
-            hits.append(v)
+
+    def scan(k, q, lin):
+        d, l = diag[k], lin[k]
+        if k == last:
+            rest = target - q
+            for x in xs:
+                if x * (l + d * x) == rest:
+                    prefix[k] = x
+                    hits.append(tuple(prefix))
+            return
+        row = couplings[k]
+        for x in xs:
+            prefix[k] = x
+            nxt = lin
+            if x and row:
+                nxt = lin[:]
+                for j, w in row:
+                    nxt[j] += w * x
+            scan(k + 1, q + x * (l + d * x), nxt)
+
+    scan(0, 0, [0] * n)
     return hits

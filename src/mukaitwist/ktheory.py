@@ -243,12 +243,16 @@ class CohomologySpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "CohomologySpec":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise SpecFormatError(
                 f"top level: {path} is not UTF-8 ({exc.reason} at byte {exc.start})"
             ) from exc
-        except json.JSONDecodeError as exc:
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError is a ValueError, as is an integer literal over
+            # Python's digit limit; nesting too deep to decode is a RecursionError.
             raise SpecFormatError(f"top level: invalid JSON ({exc})") from exc
         return cls.from_dict(data)
 

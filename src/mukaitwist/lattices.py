@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from . import _kernels
@@ -209,23 +210,44 @@ def fixed_sublattice(
     return basis, restricted
 
 
+class Reflection:
+    """The reflection x -> x - (2 <x,w> / <w,w>) w in a vector w of square +2 or -2.
+
+    It acts on a vector as a rank-one update: one inner product with the
+    stored G w, then a multiple of w subtracted. The matrix is derived from
+    that action on demand. As <w,w> = +-2, the coefficient is +-<x,w>, so
+    the reflection is integral on every integral lattice.
+    """
+
+    __slots__ = ("lattice", "w", "_gw", "_sign")
+
+    def __init__(self, lattice: Lattice, w: Sequence[int]):
+        lattice._check_length(w)
+        w = tuple(w)
+        gw = lattice.gram.mul_vec(w)
+        n2 = sum(map(mul, w, gw))
+        if n2 not in (2, -2):
+            raise ValueError(f"reflection vector must have square +-2, got {n2}")
+        self.lattice = lattice
+        self.w = w
+        self._gw = gw
+        self._sign = n2 // 2  # 2 / <w,w>
+
+    def __call__(self, x: Sequence[int]) -> Vector:
+        self.lattice._check_length(x)
+        k = self._sign * sum(map(mul, x, self._gw))
+        if not k:
+            return tuple(x)
+        return tuple(xi - k * wi for xi, wi in zip(x, self.w))
+
+    @property
+    def matrix(self) -> IntMatrix:
+        return IntMatrix.of_map(self, self.lattice.rank)
+
+
 def reflection(lattice: Lattice, w: Sequence[int]) -> Isometry:
-    """Reflection in a vector of square +2 or -2: x -> x - (2 <x,w> / <w,w>) w."""
-    lattice._check_length(w)
-    n2 = lattice.norm(w)
-    if n2 not in (2, -2):
-        raise ValueError(f"reflection vector must have square +-2, got {n2}")
-    gw = lattice.gram.mul_vec(w)
-    n = lattice.rank
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            num = 2 * w[i] * gw[j]
-            q, rem = divmod(num, n2)
-            if rem:
-                raise ValueError("reflection is not integral on this lattice")
-            entries.append((1 if i == j else 0) - q)
-    return Isometry(lattice, IntMatrix(n, n, entries))
+    """Reflection in a vector of square +2 or -2, as an isometry; see Reflection."""
+    return Isometry(lattice, Reflection(lattice, w).matrix)
 
 
 def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[Vector]:

@@ -21,7 +21,10 @@ Checks:
   twice an odd unimodular form, and (0,0,1) is characteristic for the half
   form.
 * phi integrality -- words in T-equivariant generators send (0,0,1) to a
-  vector with even degree-2 part, and <phi(0,0,1), l + Tl> = 0 mod 4.
+  vector with even degree-2 part, and <phi(0,0,1), l + Tl> = 0 mod 4. The
+  generator pool is T, -1 and reflection vectors w, each checked once at
+  harvest (w^2 = +-2, T w = +-w); a word is applied to (0,0,1) letter by
+  letter, right to left, each reflection as a rank-one update.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .intmat import IntMatrix, determinant, solve
 from .lattices import (
     Isometry,
     Lattice,
+    Reflection,
     X_SLICE,
     Y_SLICE,
     Z1_SLICE,
@@ -40,7 +44,6 @@ from .lattices import (
     Z3_SLICE,
     cover_involution_h2,
     fixed_sublattice,
-    reflection,
     short_vectors,
     standard_lattice,
 )
@@ -302,42 +305,64 @@ def _invariant_lattice_checks(basis: IntMatrix, gram: IntMatrix) -> tuple[int, d
 
 
 @lru_cache(maxsize=None)
-def _generator_pool() -> tuple[Isometry, ...]:
+def _generator_pool() -> tuple[Isometry | Reflection, ...]:
     """T-equivariant generators: T, -1, and reflections in short T-(anti)fixed vectors.
 
-    Reflection vectors are harvested from the fixed and anti-fixed lattices
-    of T (square +-2, coordinate box 1 in the kernel basis); a reflection in
-    a vector w with T w = +-w commutes with T. This pool generates a proper
-    subgroup of the full equivariant orthogonal group; it is a test family,
-    not an enumeration.
+    T and -1 are isometries; every other entry is a Reflection, kept as its
+    vector w and applied to a vector as a rank-one update (its matrix is
+    built only on demand). The vectors w are harvested from the fixed and
+    anti-fixed lattices of T (square +-2, coordinate box 1 in the kernel
+    basis) and checked once, here: Reflection checks w^2 = +-2 in the full
+    lattice, and T w = +-w is checked against T. A reflection in such a w
+    commutes with T, so every word in the pool does. This pool generates a
+    proper subgroup of the full equivariant orthogonal group; it is a test
+    family, not an enumeration.
     """
     lat = full_lattice()
     t_iso = twisted_involution_matrix()
     minus_identity = Isometry(lat, -IntMatrix.identity(FULL_RANK))
-    pool: list[Isometry] = [t_iso, minus_identity]
+    pool: list[Isometry | Reflection] = [t_iso, minus_identity]
     for sign in (1, -1):
         basis, gram = fixed_sublattice(lat, t_iso, sign)
         sub = Lattice(gram, f"T-fixed({sign:+d})")
         for target in (2, -2):
-            for w in short_vectors(sub, target, 1):
-                if next((c for c in w if c), 0) < 0:
+            for v in short_vectors(sub, target, 1):
+                if next((c for c in v if c), 0) < 0:
                     continue  # skip -w; same reflection
-                pool.append(reflection(lat, basis.mul_vec(w)))
+                w = basis.mul_vec(v)
+                if twisted_involution(MukaiVector.from_coords(w)).coords() != tuple(sign * c for c in w):
+                    raise RuntimeError(f"harvested vector is not a {sign:+d}-eigenvector of T")
+                pool.append(Reflection(lat, w))
     return tuple(pool)
 
 
-def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
-    """A deterministic word in the equivariant generator pool; commutes with T."""
+def _sample_word(seed: int, word_length: int) -> list[Isometry | Reflection]:
+    """The letters of a deterministic word in the generator pool, leftmost first."""
     if word_length < 0:
         raise ValueError("word_length must be >= 0")
     pool = _generator_pool()
     if not pool:
         raise RuntimeError("equivariant generator pool is empty")
-    lat = full_lattice()
     rng = SplitMix64(mix64(seed))
-    result = Isometry(lat, IntMatrix.identity(FULL_RANK))
-    for _ in range(word_length):
-        result = result @ pool[rng.below(len(pool))]
+    return [pool[rng.below(len(pool))] for _ in range(word_length)]
+
+
+def _apply_word(word: list[Isometry | Reflection], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of the word's letters applied to v: the rightmost letter acts first."""
+    for letter in reversed(word):
+        v = letter(v)
+    return tuple(v)
+
+
+def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
+    """A deterministic word in the equivariant generator pool; commutes with T.
+
+    The matrix is the word evaluated on the unit vectors, letter by letter,
+    as verify_phi_integrality evaluates it on (0,0,1); it is then checked as
+    an isometry and for commuting with T.
+    """
+    word = _sample_word(seed, word_length)
+    result = Isometry(full_lattice(), IntMatrix.of_map(lambda e: _apply_word(word, e), FULL_RANK))
     t_mat = twisted_involution_matrix().matrix
     if result.matrix @ t_mat != t_mat @ result.matrix:
         raise RuntimeError("sampled word does not commute with the twisted involution")
@@ -369,8 +394,7 @@ def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LEN
         rng = substream(cfg.seed, trial)
         length = rng.below(word_length + 1)
         word_seed = rng.next_u64()
-        phi = sample_equivariant_isometry(word_seed, length)
-        image = phi(point.coords())
+        image = _apply_word(_sample_word(word_seed, length), point.coords())
         trials += 1
         degree2 = image[1:23]
         if any(c % 2 for c in degree2):

@@ -6,8 +6,16 @@ small determinants by cofactor expansion, so normal-form bugs cannot hide
 behind themselves.
 """
 from fractions import Fraction
+from itertools import product
+
+from hypothesis import settings
 
 from mukaitwist import IntMatrix
+
+# Property tests run a fixed, bounded set of examples: the suite stays
+# deterministic and its time does not depend on the machine's speed.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=100, database=None)
+settings.load_profile("tier1")
 
 
 def rational_det(m: IntMatrix) -> Fraction:
@@ -71,3 +79,23 @@ def cofactor_det(m: IntMatrix) -> int:
 
 def random_matrix(rng, rows: int, cols: int, bound: int = 9) -> IntMatrix:
     return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
+
+
+def box_norm_scan(g, n: int, target: int, bound: int) -> list[tuple[int, ...]]:
+    """Every v in [-bound, bound]^n with v^T G v == target, by brute force in lex order."""
+    hits = []
+    for v in product(range(-bound, bound + 1), repeat=n):
+        q = sum(g[i * n + j] * v[i] * v[j] for i in range(n) for j in range(n))
+        if q == target:
+            hits.append(v)
+    return hits
+
+
+def reflection_matrix(gram: IntMatrix, w) -> IntMatrix:
+    """The matrix I - (2 / w^T G w) w (G w)^T, entry by entry."""
+    n = gram.rows
+    gw = [sum(gram[i, j] * w[j] for j in range(n)) for i in range(n)]
+    n2 = sum(w[i] * gw[i] for i in range(n))
+    entries = [Fraction((1 if i == j else 0) * n2 - 2 * w[i] * gw[j], n2) for i in range(n) for j in range(n)]
+    assert all(e.denominator == 1 for e in entries)
+    return IntMatrix(n, n, [int(e) for e in entries])

@@ -75,6 +75,22 @@ class TestKtheoryCommand:
         assert str(bad) in err
         assert "UTF-8" in err
 
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "ktheory", "--input", str(deep))
+        assert code == 2
+        assert "malformed cohomology file: top level:" in err
+
+    def test_integer_over_digit_limit_is_usage_error(self, capsys, tmp_path):
+        doc = json.loads((DATA / "enriques.json").read_text())
+        doc["h3"]["torsion"] = ["HUGE"]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 4999))
+        code, _, err = run(capsys, "ktheory", "--input", str(huge))
+        assert code == 2
+        assert "malformed cohomology file: top level:" in err
+
     def test_enriques_requires_twist_choice(self, capsys):
         code, _, err = run(capsys, "ktheory", "--enriques")
         assert code == 2

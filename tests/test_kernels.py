@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import box_norm_scan
 from mukaitwist import _kernels
 from mukaitwist._kernels import _pure
 
@@ -53,6 +56,23 @@ def test_norm_scan_parity_and_order():
         want = _pure.norm_scan(flat, n, target, 2)
         assert got == want
         assert got == sorted(got)  # lexicographic
+
+
+@st.composite
+def symmetric_grams(draw, max_n=5, entry_bound=3):
+    """A flat symmetric n x n Gram with small entries, and its n."""
+    n = draw(st.integers(0, max_n))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-entry_bound, entry_bound))
+    return tuple(x for row in g for x in row), n
+
+
+@given(symmetric_grams(), st.integers(-4, 4), st.integers(0, 2))
+def test_pure_norm_scan_matches_box_oracle(gram, target, bound):
+    flat, n = gram
+    assert _pure.norm_scan(flat, n, target, bound) == box_norm_scan(flat, n, target, bound)
 
 
 @needs_fast

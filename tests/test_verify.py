@@ -3,6 +3,7 @@ import random
 import pytest
 
 import mukaitwist.verify as verify
+from conftest import reflection_matrix
 from mukaitwist import (
     IntMatrix,
     Isometry,
@@ -11,6 +12,7 @@ from mukaitwist import (
     full_lattice,
     mukai_pairing,
     point_class,
+    reflection,
     sample_equivariant_isometry,
     standard_lattice,
     twisted_involution,
@@ -20,6 +22,8 @@ from mukaitwist import (
     verify_phi_integrality,
     verify_square_congruence,
 )
+from mukaitwist.lattices import Reflection
+from mukaitwist.prng import SplitMix64, mix64
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
 
@@ -126,6 +130,69 @@ class TestEquivariantSampler:
     def test_negative_word_length_rejected(self):
         with pytest.raises(ValueError):
             sample_equivariant_isometry(0, -1)
+
+
+class TestWordEvaluation:
+    """Words applied to vectors letter by letter, against the matrix products they stand for."""
+
+    @staticmethod
+    def letter_matrix(index: int) -> IntMatrix:
+        if index == 0:
+            return twisted_involution_matrix().matrix
+        if index == 1:
+            return -IntMatrix.identity(24)
+        return reflection(full_lattice(), verify._generator_pool()[index].w).matrix
+
+    @pytest.mark.parametrize("seed, length", [(1000 + 37 * k, k % 9) for k in range(20)])
+    def test_vector_route_matches_matrix_route(self, seed, length):
+        pool = verify._generator_pool()
+        rng = SplitMix64(mix64(seed))
+        indices = [rng.below(len(pool)) for _ in range(length)]
+        product = IntMatrix.identity(24)
+        for i in indices:
+            product = product @ self.letter_matrix(i)
+        word = verify._sample_word(seed, length)
+        assert all(letter is pool[i] for letter, i in zip(word, indices))
+        point = point_class().coords()
+        assert verify._apply_word(word, point) == product.mul_vec(point)
+        assert sample_equivariant_isometry(seed, length).matrix == product
+
+    def test_pool_size(self):
+        assert len(verify._generator_pool()) == 9106
+
+    def test_harvested_vectors_are_equivariant_roots(self):
+        lat = full_lattice()
+        for gen in verify._generator_pool()[2:]:
+            w = gen.w
+            assert lat.norm(w) in (2, -2)
+            tw = twisted_involution(MukaiVector.from_coords(w)).coords()
+            assert tw in (w, tuple(-c for c in w))
+
+    def test_reflection_matrices_match_formula(self):
+        lat = full_lattice()
+        pool = verify._generator_pool()
+        for gen in random.Random(4).sample(pool[2:], 25):
+            assert gen.matrix == reflection_matrix(lat.gram, gen.w)
+
+
+class TestPhiFailureReporting:
+    # w = (1, e, 1) with e the first vector of the z3 block has square -2 and
+    # <(0,0,1), w> = -1, so its reflection sends (0,0,1) to (-1, -e, 0): an odd
+    # degree-2 coordinate. It does not commute with T, which the harvest would reject.
+    BREAKING = (1,) + (0,) * 20 + (1, 0) + (1,)
+
+    def test_odd_image_is_a_replayable_counterexample(self, monkeypatch):
+        pool = (twisted_involution_matrix(), Reflection(full_lattice(), self.BREAKING))
+        monkeypatch.setattr(verify, "_generator_pool", lambda: pool)
+        report = verify_phi_integrality(TrialConfig(trials=50, seed=3), word_length=4)
+        assert not report.passed
+        ce = report.counterexample
+        assert {"word_seed", "word_length", "image", "odd_degree2_indices"} <= ce.keys()
+        assert ce["source"] == f"trial {report.trials_run - 1}"
+        replayed = verify._apply_word(verify._sample_word(ce["word_seed"], ce["word_length"]), point_class().coords())
+        assert list(replayed) == ce["image"]
+        assert ce["odd_degree2_indices"] == [i for i, c in enumerate(replayed[1:23]) if c % 2]
+        assert ce["odd_degree2_indices"]
 
 
 class TestCongruenceTransport:
