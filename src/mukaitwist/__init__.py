@@ -4,7 +4,6 @@ Everything is computed over Z or Q with arbitrary precision; there is no
 floating point anywhere. All values are immutable and all operations are
 pure functions, so concurrent use needs no coordination.
 """
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .intmat import IntMatrix, determinant, hermite_normal_form, kernel_basis, smith_normal_form, solve
 from .ktheory import CohomologySpec, E4Page, FGAbelianGroup, SpecFormatError, e4_page, k1_surface
 from .lattices import (
@@ -45,6 +44,9 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# The one integer kernel backend, named in run provenance.
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "BField",

@@ -37,7 +37,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class IntMatrix:
     """Immutable dense matrix over the integers."""
 
-    __slots__ = ("rows", "cols", "_d")
+    __slots__ = ("rows", "cols", "_d", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
@@ -98,6 +98,22 @@ class IntMatrix:
     def flat(self) -> tuple[int, ...]:
         return self._d
 
+    @property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each row i, the (j, a_ij) pairs with a_ij != 0, in column order.
+
+        Built on first use and cached: most matrices (normal-form steps,
+        products) are never multiplied by a vector.
+        """
+        try:
+            return self._sparse
+        except AttributeError:
+            c, d = self.cols, self._d
+            self._sparse = tuple(
+                tuple((j, a) for j, a in enumerate(d[i * c : (i + 1) * c]) if a) for i in range(self.rows)
+            )
+            return self._sparse
+
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -128,7 +144,7 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(_kernels.matvec(self._d, tuple(v), self.rows, self.cols))
+        return tuple(_kernels.matvec(self.sparse_rows, tuple(v)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:

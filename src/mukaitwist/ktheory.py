@@ -63,9 +63,13 @@ class FGAbelianGroup:
         for col in relations:
             if len(col) != n_generators:
                 raise ValueError("relation length does not match generator count")
-        flat = [relations[j][i] for i in range(n_generators) for j in range(k)]
-        s, _, _ = smith_normal_form(IntMatrix(n_generators, k, flat))
-        diag = [s[i, i] for i in range(min(n_generators, k))]
+        # A generator that no relation touches is free in the cokernel. Leaving
+        # it out of the Smith form keeps that form (and its dense n x n
+        # transform) to the generators the relations involve.
+        touched = sorted({i for col in relations for i, x in enumerate(col) if x})
+        flat = [relations[j][i] for i in touched for j in range(k)]
+        s, _, _ = smith_normal_form(IntMatrix(len(touched), k, flat))
+        diag = [s[i, i] for i in range(min(len(touched), k))]
         nonzero = [d for d in diag if d]
         return cls(n_generators - len(nonzero), tuple(d for d in nonzero if d > 1))
 
@@ -114,15 +118,22 @@ class FGAbelianGroup:
     def quotient_by(self, coords: Sequence[int]) -> "FGAbelianGroup":
         """The quotient by the cyclic subgroup generated by one element."""
         coords = self.reduce_element(coords)
-        return FGAbelianGroup.from_presentation(
-            self.n_generators, self._relation_columns() + [list(coords)]
+        # Free generators the element does not involve stay free; only the
+        # others and the torsion generators are presented.
+        free = [c for c in coords[: self.free_rank] if c]
+        sub = FGAbelianGroup(len(free), self.torsion)
+        q = FGAbelianGroup.from_presentation(
+            sub.n_generators, sub._relation_columns() + [free + list(coords[self.free_rank :])]
         )
+        return FGAbelianGroup(self.free_rank - len(free) + q.free_rank, q.torsion)
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        n = self.n_generators + other.n_generators
-        cols = [col + [0] * other.n_generators for col in self._relation_columns()]
-        cols += [[0] * self.n_generators + col for col in other._relation_columns()]
-        return FGAbelianGroup.from_presentation(n, cols)
+        # No relation touches a free generator, so the free ranks add and only
+        # the torsion factors are presented, one generator each.
+        torsion = self.torsion + other.torsion
+        n = len(torsion)
+        cols = [[d if i == j else 0 for i in range(n)] for j, d in enumerate(torsion)]
+        return FGAbelianGroup(self.free_rank + other.free_rank, FGAbelianGroup.from_presentation(n, cols).torsion)
 
     def times(self, k: int) -> "FGAbelianGroup":
         """The subgroup k.G = {k x : x in G}, up to isomorphism."""

@@ -47,12 +47,12 @@ class Lattice:
         """Bilinear form u . v; exact for integer and rational coordinates."""
         self._check_length(u)
         self._check_length(v)
-        return _kernels.bilinear(self.gram.flat, tuple(u), tuple(v), self.rank)
+        return _kernels.bilinear(self.gram.sparse_rows, tuple(u), tuple(v))
 
     def norm(self, v: Sequence):
         """The square v . v."""
         self._check_length(v)
-        return _kernels.quadform(self.gram.flat, tuple(v), self.rank)
+        return _kernels.quadform(self.gram.sparse_rows, tuple(v))
 
     def is_even(self) -> bool:
         """True when every diagonal Gram entry is even (so all squares are)."""

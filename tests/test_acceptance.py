@@ -1,8 +1,7 @@
 """Acceptance suite: one test per shipped guarantee, at full advertised scale.
 
 Each test prints a single PASS/FAIL line (visible in the live pytest output)
-and enforces its runtime budget. Budgets assume the compiled kernels; the
-pure-Python fallback passes the same checks but can exceed the time limits.
+and enforces its runtime budget.
 """
 import json
 import random

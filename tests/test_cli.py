@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -90,6 +91,22 @@ class TestKtheoryCommand:
         code, _, err = run(capsys, "ktheory", "--input", str(huge))
         assert code == 2
         assert "malformed cohomology file: top level:" in err
+
+    def test_huge_free_rank_takes_under_a_second(self, capsys, tmp_path):
+        # Free generators stay out of the Smith forms, whose transforms are
+        # dense and square in the number of generators.
+        doc = json.loads((DATA / "enriques.json").read_text())
+        doc["h1"]["free_rank"] = 10**6
+        doc["h1"]["torsion"] = [2] * 50
+        doc["alpha"]["coords"] = [0]
+        spec = tmp_path / "huge_free.json"
+        spec.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "ktheory", "--input", str(spec))
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert "K1 = Z^1000000 + " + " + ".join(["Z/2"] * 51) in out
+        assert elapsed < 1.0
 
     def test_enriques_requires_twist_choice(self, capsys):
         code, _, err = run(capsys, "ktheory", "--enriques")

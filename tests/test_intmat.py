@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mukaitwist import (
     IntMatrix,
@@ -14,6 +16,14 @@ from mukaitwist import (
 from mukaitwist.lattices import cover_involution_h2
 
 from conftest import cofactor_det, random_matrix, rational_det, rational_rank
+
+
+@st.composite
+def int_matrices(draw, max_rows=5, max_cols=5, bound=6, square=False):
+    """A small IntMatrix, empty shapes included."""
+    rows = draw(st.integers(0, max_rows))
+    cols = rows if square else draw(st.integers(0, max_cols))
+    return IntMatrix(rows, cols, draw(st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols)))
 
 
 def assert_hnf_shape(h: IntMatrix):
@@ -64,6 +74,22 @@ class TestHermite:
             assert determinant(u) in (1, -1)
             assert_hnf_shape(h)
 
+    @given(int_matrices())
+    def test_against_rational_oracles(self, m):
+        h, u = hermite_normal_form(m)
+        assert u @ m == h
+        assert abs(rational_det(u)) == 1
+        assert_hnf_shape(h)
+        assert sum(1 for i in range(h.rows) if any(h.row(i))) == rational_rank(m)
+
+    @given(int_matrices(max_rows=4, square=True))
+    def test_pivot_product_is_the_determinant(self, m):
+        h, _ = hermite_normal_form(m)
+        pivots = 1
+        for i in range(h.rows):
+            pivots *= h[i, i]
+        assert pivots == abs(cofactor_det(m))
+
 
 class TestSmith:
     def test_diag_2_3(self):
@@ -106,6 +132,25 @@ class TestSmith:
             # zeros trail
             assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))
 
+    @given(int_matrices())
+    def test_against_rational_oracles(self, m):
+        s, u, v = smith_normal_form(m)
+        assert u @ m @ v == s
+        assert abs(rational_det(u)) == 1 and abs(rational_det(v)) == 1
+        diag = [s[i, i] for i in range(min(m.rows, m.cols))]
+        assert s == IntMatrix(m.rows, m.cols, [diag[i] if i == j else 0 for i in range(m.rows) for j in range(m.cols)])
+        rank = rational_rank(m)
+        assert all(d > 0 for d in diag[:rank]) and not any(diag[rank:])
+        assert all(b % a == 0 for a, b in zip(diag[:rank], diag[1:rank]))
+
+    @given(int_matrices(max_rows=4, square=True))
+    def test_invariant_factors_multiply_to_the_determinant(self, m):
+        s, _, _ = smith_normal_form(m)
+        product = 1
+        for i in range(m.rows):
+            product *= s[i, i]
+        assert product == abs(cofactor_det(m))
+
 
 class TestKernel:
     def test_sum_map(self):
@@ -138,6 +183,17 @@ class TestKernel:
             if k.cols:
                 s, _, _ = smith_normal_form(k)
                 assert all(s[i, i] == 1 for i in range(k.cols))
+
+    @given(int_matrices(bound=4))
+    def test_against_rational_oracles(self, m):
+        k = kernel_basis(m)
+        assert k.shape == (m.cols, m.cols - rational_rank(m))
+        assert rational_rank(k) == k.cols
+        assert m @ k == IntMatrix.zero(m.rows, k.cols)
+        if k.cols:
+            # Saturated: the basis spans every integral kernel vector.
+            s, _, _ = smith_normal_form(k)
+            assert all(s[i, i] == 1 for i in range(k.cols))
 
 
 class TestDeterminant:
@@ -176,6 +232,21 @@ class TestSolve:
             b = m.mul_vec(x)
             got = solve(m, b)
             assert got is not None
+            assert m.mul_vec(got) == b
+
+    @given(st.data())
+    def test_against_rational_oracles(self, data):
+        m = data.draw(int_matrices(bound=5))
+        x = data.draw(st.lists(st.integers(-5, 5), min_size=m.cols, max_size=m.cols))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=m.rows, max_size=m.rows))
+        b = tuple(bi + si for bi, si in zip(m.mul_vec(x), shift))
+        got = solve(m, b)
+        augmented = IntMatrix(m.rows, m.cols + 1, [e for i in range(m.rows) for e in m.row(i) + (b[i],)])
+        if not any(shift):
+            assert got is not None
+        if rational_rank(augmented) > rational_rank(m):
+            assert got is None  # not even a rational solution
+        if got is not None:
             assert m.mul_vec(got) == b
 
     def test_unsolvable(self):

@@ -1,8 +1,11 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mukaitwist import CohomologySpec, FGAbelianGroup, SpecFormatError, e4_page, k1_surface
 
@@ -39,6 +42,22 @@ class TestCanonicalForm:
         # redundant relations collapse
         g = FGAbelianGroup.from_presentation(1, [[2], [3]])
         assert g == TRIVIAL
+
+    @given(st.data())
+    def test_untouched_generators_are_free(self, data):
+        # Relations are columns in Z^n; a zero row is a generator no relation touches.
+        n = data.draw(st.integers(0, 4))
+        relations = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))
+        g = FGAbelianGroup.from_presentation(n, relations)
+        padded = [list(col) for col in relations]
+        positions = data.draw(st.lists(st.integers(0, 8), max_size=5))
+        for k, p in enumerate(positions):
+            at = p % (n + k + 1)
+            for col in padded:
+                col.insert(at, 0)
+        h = FGAbelianGroup.from_presentation(n + len(positions), padded)
+        assert h.free_rank == g.free_rank + len(positions)
+        assert h.torsion == g.torsion
 
     def test_direct_sum_canonicalizes(self):
         assert Z2.direct_sum(FGAbelianGroup.cyclic(3)) == FGAbelianGroup(0, (6,))
@@ -81,6 +100,14 @@ class TestQuotient:
     def test_quotient_by_zero_is_identity(self):
         for g in (TRIVIAL, Z, Z2, FGAbelianGroup(3, (2, 4))):
             assert g.quotient_by((0,) * g.n_generators) == g
+
+    def test_uninvolved_free_generators_stay_free(self):
+        g = FGAbelianGroup(10**6, (2,) * 40)
+        started = time.perf_counter()
+        # <e, t | 2t, 3e + t> = Z/6 for the last free generator e and the first torsion one t.
+        q = g.quotient_by((0,) * (10**6 - 1) + (3, 1) + (0,) * 39)
+        assert time.perf_counter() - started < 1.0
+        assert q == FGAbelianGroup(10**6 - 1, (2,) * 39 + (6,))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lagrange_on_finite_groups(self, seed):
