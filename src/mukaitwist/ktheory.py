@@ -3,7 +3,8 @@
 Groups are kept in canonical form: a free rank plus a chain of invariant
 factors d1 | d2 | ... (each >= 2). Elements are integer coordinate tuples
 over the generators, free generators first, then one generator per torsion
-factor. Presentations are canonicalized through the Smith normal form.
+factor. Presentations are canonicalized through the Smith normal form;
+direct sums, being diagonal, are folded into the chain with gcd and lcm.
 
 The degree computation is the spectral-sequence endgame for a compact
 surface twisted by a torsion class alpha in H^3: the only differential that
@@ -18,12 +19,33 @@ and K^1 = H^1 + H^3/<alpha>. Degree 0 is reported only as the graded triple
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 from pathlib import Path
 from typing import Sequence
 
 from .intmat import IntMatrix, smith_normal_form
+
+
+def _fold_factor(chain: list[int], x: int) -> None:
+    """Fold Z/x into the invariant-factor chain (ascending), in place.
+
+    Top down, each entry d and the carry x become lcm(d, x) and the new
+    carry gcd(d, x), as Z/d + Z/x = Z/lcm + Z/gcd; the fold stops once the
+    carry is 1. Entries that x divides are left unchanged by that step, and
+    they form the top of what remains, so they are skipped by bisection.
+    Each real step replaces x by a proper divisor.
+    """
+    i = len(chain)
+    while x > 1:
+        i = bisect_left(chain, True, 0, i, key=lambda d: d % x == 0)
+        if i == 0:
+            chain.insert(0, x)
+            return
+        i -= 1
+        d = chain[i]
+        chain[i], x = lcm(d, x), gcd(d, x)
 
 
 class FGAbelianGroup:
@@ -118,22 +140,23 @@ class FGAbelianGroup:
     def quotient_by(self, coords: Sequence[int]) -> "FGAbelianGroup":
         """The quotient by the cyclic subgroup generated by one element."""
         coords = self.reduce_element(coords)
-        # Free generators the element does not involve stay free; only the
-        # others and the torsion generators are presented.
+        # Generators the element does not involve split off as a direct
+        # summand; only the others are presented.
         free = [c for c in coords[: self.free_rank] if c]
-        sub = FGAbelianGroup(len(free), self.torsion)
+        torsion = list(zip(coords[self.free_rank :], self.torsion))
+        involved = [(c, d) for c, d in torsion if c]
+        sub = FGAbelianGroup(len(free), tuple(d for _, d in involved))
         q = FGAbelianGroup.from_presentation(
-            sub.n_generators, sub._relation_columns() + [free + list(coords[self.free_rank :])]
+            sub.n_generators, sub._relation_columns() + [free + [c for c, _ in involved]]
         )
-        return FGAbelianGroup(self.free_rank - len(free) + q.free_rank, q.torsion)
+        rest = FGAbelianGroup(self.free_rank - len(free) + q.free_rank, tuple(d for c, d in torsion if not c))
+        return rest.direct_sum(FGAbelianGroup(0, q.torsion))
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        # No relation touches a free generator, so the free ranks add and only
-        # the torsion factors are presented, one generator each.
-        torsion = self.torsion + other.torsion
-        n = len(torsion)
-        cols = [[d if i == j else 0 for i in range(n)] for j, d in enumerate(torsion)]
-        return FGAbelianGroup(self.free_rank + other.free_rank, FGAbelianGroup.from_presentation(n, cols).torsion)
+        chain = list(self.torsion)
+        for d in other.torsion:
+            _fold_factor(chain, d)
+        return FGAbelianGroup(self.free_rank + other.free_rank, chain)
 
     def times(self, k: int) -> "FGAbelianGroup":
         """The subgroup k.G = {k x : x in G}, up to isomorphism."""

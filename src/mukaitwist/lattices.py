@@ -45,8 +45,9 @@ class Lattice:
 
     def inner(self, u: Sequence, v: Sequence):
         """Bilinear form u . v; exact for integer and rational coordinates."""
-        self._check_length(u)
-        self._check_length(v)
+        if not len(u) == len(v) == self.rank:
+            self._check_length(u)
+            self._check_length(v)
         return _kernels.bilinear(self.gram.sparse_rows, tuple(u), tuple(v))
 
     def norm(self, v: Sequence):
@@ -144,6 +145,7 @@ def direct_sum(first: Lattice, second: Lattice, label: str = "") -> Lattice:
     return Lattice(IntMatrix.from_rows(rows), label)
 
 
+@lru_cache(maxsize=None)
 def standard_lattice(name: str) -> Lattice:
     """Named standard lattices: u, e8, minus_e8, enriques_h2, mukai_h2."""
     return _standard_lattice(name.lower().replace("-", "_").replace(" ", ""))

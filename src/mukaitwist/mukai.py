@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Sequence, Union
 
 from .intmat import IntMatrix
@@ -31,6 +32,7 @@ Scalar = Union[int, Fraction]
 
 H2_RANK = 22
 FULL_RANK = 24
+_INT_ONLY = frozenset((int,))
 
 
 def _norm_scalar(x) -> Scalar:
@@ -49,12 +51,18 @@ class MukaiVector:
     __slots__ = ("r", "c", "s")
 
     def __init__(self, r: Scalar, c: Sequence[Scalar], s: Scalar):
-        c = tuple(_norm_scalar(x) for x in c)
+        c = tuple(c)
+        # Exact ints (not bool) are already normal; only other entries need _norm_scalar.
+        exact = type(r) is int and type(s) is int and set(map(type, c)) <= _INT_ONLY
+        if not exact:
+            c = tuple(map(_norm_scalar, c))
         if len(c) != H2_RANK:
             raise ValueError(f"degree-2 part must have {H2_RANK} coordinates, got {len(c)}")
-        self.r = _norm_scalar(r)
+        if not exact:
+            r, s = _norm_scalar(r), _norm_scalar(s)
+        self.r = r
         self.c = c
-        self.s = _norm_scalar(s)
+        self.s = s
 
     @classmethod
     def zero(cls) -> "MukaiVector":
@@ -82,18 +90,10 @@ class MukaiVector:
         )
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(
-            self.r + other.r,
-            tuple(a + b for a, b in zip(self.c, other.c)),
-            self.s + other.s,
-        )
+        return MukaiVector(self.r + other.r, tuple(map(add, self.c, other.c)), self.s + other.s)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(
-            self.r - other.r,
-            tuple(a - b for a, b in zip(self.c, other.c)),
-            self.s - other.s,
-        )
+        return MukaiVector(self.r - other.r, tuple(map(sub, self.c, other.c)), self.s - other.s)
 
     def __neg__(self) -> "MukaiVector":
         return MukaiVector(-self.r, tuple(-x for x in self.c), -self.s)

@@ -12,6 +12,13 @@ Per-trial substreams are derived by index, never by sharing state:
 
 so trials can run in any order, or in parallel, and produce identical
 samples.
+
+mix64 and next_u64 are the reference definitions. integers is the one
+rejection loop: count uniform draws from [lo, hi], each taking the top
+bits of next_u64 until they land below hi - lo + 1, with the state in a
+local and mix64 written out. integer is integers(lo, hi, 1) and below is
+integers(0, n - 1, 1), so all three draw the same values and leave the
+same state.
 """
 from __future__ import annotations
 
@@ -43,20 +50,36 @@ class SplitMix64:
         """Uniform draw from [0, n) by rejection on the top bits."""
         if n <= 0:
             raise ValueError("below() requires n >= 1")
-        bits = (n - 1).bit_length()
-        while True:
-            r = self.next_u64() >> (64 - bits) if bits else 0
-            if r < n:
-                return r
+        return self.integers(0, n - 1, 1)[0]
 
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
-        if lo > hi:
-            raise ValueError("empty range")
-        return lo + self.below(hi - lo + 1)
+        return self.integers(lo, hi, 1)[0]
 
     def integers(self, lo: int, hi: int, count: int) -> tuple[int, ...]:
-        return tuple(self.integer(lo, hi) for _ in range(count))
+        """count uniform draws from [lo, hi]; () when count <= 0, whatever lo and hi."""
+        if count <= 0:
+            return ()
+        if lo > hi:
+            raise ValueError("empty range")
+        n = hi - lo + 1
+        shift = 64 - (n - 1).bit_length()
+        if shift == 64:  # n == 1 takes no draw
+            return (lo,) * count
+        state = self.state
+        out = []
+        append = out.append
+        for _ in range(count):
+            while True:
+                state = (state + GAMMA) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                r = (z ^ (z >> 31)) >> shift
+                if r < n:
+                    append(lo + r)
+                    break
+        self.state = state
+        return tuple(out)
 
 
 def substream(seed: int, index: int) -> SplitMix64:

@@ -15,6 +15,15 @@ Z = FGAbelianGroup.free(1)
 Z2 = FGAbelianGroup.cyclic(2)
 TRIVIAL = FGAbelianGroup.trivial()
 
+FACTORS = st.lists(st.integers(2, 12), max_size=4)
+
+
+def diagonal(free_rank, factors):
+    """Z^free_rank + Z/d_1 + ... + Z/d_k canonicalized by the Smith form (the oracle)."""
+    n = free_rank + len(factors)
+    cols = [[d if i == free_rank + j else 0 for i in range(n)] for j, d in enumerate(factors)]
+    return FGAbelianGroup.from_presentation(n, cols)
+
 
 class TestCanonicalForm:
     def test_validation(self):
@@ -64,6 +73,18 @@ class TestCanonicalForm:
         assert Z2.direct_sum(Z2) == FGAbelianGroup(0, (2, 2))
         assert Z.direct_sum(Z2) == FGAbelianGroup(1, (2,))
 
+    @given(st.integers(0, 2), FACTORS, st.integers(0, 2), FACTORS)
+    def test_direct_sum_matches_smith_form(self, a, fa, b, fb):
+        assert diagonal(a, fa).direct_sum(diagonal(b, fb)) == diagonal(a + b, fa + fb)
+
+    def test_long_torsion_sums_are_fast(self):
+        started = time.perf_counter()
+        g = FGAbelianGroup(0, (2,) * 5000).direct_sum(Z2).direct_sum(FGAbelianGroup(0, (2,) * 5000))
+        h = FGAbelianGroup(0, (2,) * 5000).direct_sum(FGAbelianGroup(0, (3,) * 5000))
+        assert time.perf_counter() - started < 1.0
+        assert g == FGAbelianGroup(0, (2,) * 10001)
+        assert h == FGAbelianGroup(0, (6,) * 5000)
+
     def test_times(self):
         g = FGAbelianGroup(2, (2, 4))
         assert g.times(2) == FGAbelianGroup(2, (2,))
@@ -109,6 +130,21 @@ class TestQuotient:
         assert time.perf_counter() - started < 1.0
         assert q == FGAbelianGroup(10**6 - 1, (2,) * 39 + (6,))
 
+    @given(st.data())
+    def test_quotient_matches_smith_form(self, data):
+        g = diagonal(data.draw(st.integers(0, 2)), data.draw(FACTORS))
+        n = g.n_generators
+        coords = data.draw(st.lists(st.one_of(st.just(0), st.integers(-15, 15)), min_size=n, max_size=n))
+        cols = [[d if i == g.free_rank + j else 0 for i in range(n)] for j, d in enumerate(g.torsion)]
+        assert g.quotient_by(coords) == FGAbelianGroup.from_presentation(n, cols + [coords])
+
+    def test_uninvolved_torsion_generators_split_off(self):
+        g = FGAbelianGroup(1, (2,) * 3000 + (4,))
+        started = time.perf_counter()
+        q = g.quotient_by((0,) * 3001 + (2,))
+        assert time.perf_counter() - started < 1.0
+        assert q == FGAbelianGroup(1, (2,) * 3001)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_lagrange_on_finite_groups(self, seed):
         rng = random.Random(seed)
@@ -124,6 +160,55 @@ class TestQuotient:
             q = g.quotient_by(coords)
             assert q.torsion_order() * order == g.torsion_order()
 
+
+# Fuzzed specs: any JSON value, or a well-formed document (whose alpha may
+# still have infinite order) with up to three fields, top-level or nested,
+# replaced by any JSON value or dropped.
+SMALL = st.integers(-3, 12)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL, st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(["free_rank", "torsion", "coords", "h3", "x"]), kids, max_size=3),
+    ),
+    max_leaves=10,
+)
+GROUP_NAMES = ("h0", "h1", "h2", "h3", "h4")
+GROUP_DOCS = st.fixed_dictionaries(
+    {"free_rank": st.integers(0, 3), "torsion": st.lists(st.sampled_from([2, 4, 8]), max_size=3).map(sorted)}
+)
+FIELD_PATHS = [(name,) for name in GROUP_NAMES + ("alpha",)] + [
+    (name, key) for name in GROUP_NAMES for key in ("free_rank", "torsion", "x")
+] + [("alpha", "coords"), ("x",)]
+DROP = object()
+
+
+def _with_alpha(groups):
+    n = groups["h3"]["free_rank"] + len(groups["h3"]["torsion"])
+    return st.lists(SMALL, min_size=n, max_size=n).map(lambda coords: {**groups, "alpha": {"coords": coords}})
+
+
+def _edited(doc, edits):
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        target = doc
+        for name in path[:-1]:
+            target = target.get(name) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            if value is DROP:
+                target.pop(path[-1], None)
+            else:
+                target[path[-1]] = value
+    return doc
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.one_of(st.just(DROP), JSON)), max_size=3)
+SPEC_DOCS = st.one_of(
+    st.fixed_dictionaries({name: GROUP_DOCS for name in GROUP_NAMES}).flatmap(_with_alpha).flatmap(
+        lambda doc: EDITS.map(lambda edits: _edited(doc, edits))
+    ),
+    JSON,
+)
 
 ENRIQUES_UNTWISTED = CohomologySpec.enriques(twisted=False)
 ENRIQUES_TWISTED = CohomologySpec.enriques(twisted=True)
@@ -224,6 +309,14 @@ class TestSpecIO:
         path.write_text("{not json")
         with pytest.raises(SpecFormatError, match="invalid JSON"):
             CohomologySpec.from_file(path)
+
+    @given(SPEC_DOCS)
+    def test_fuzzed_documents_raise_only_spec_format_error(self, doc):
+        try:
+            spec = CohomologySpec.from_dict(doc)
+        except SpecFormatError:
+            return
+        assert CohomologySpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
     def test_roundtrip(self):
         spec = ENRIQUES_TWISTED

@@ -81,11 +81,13 @@ class TestStandardLattices:
         assert determinant(lat.gram) == -1
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            standard_lattice("leech")
+        for _ in range(2):  # the error is raised on every call, never cached
+            with pytest.raises(ValueError):
+                standard_lattice("leech")
 
     def test_name_normalization(self):
         assert standard_lattice("minus-e8") is standard_lattice("minus_e8")
+        assert standard_lattice("Minus-E8") is standard_lattice("minus_e8")
 
 
 class TestInner:
@@ -98,6 +100,10 @@ class TestInner:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             U.inner((1, 0, 0), (0, 1))
+        with pytest.raises(ValueError, match="vector length 1 "):
+            U.inner((0, 1), (1,))
+        with pytest.raises(ValueError, match="vector length 3 "):
+            U.inner((1, 0, 0), (0, 1, 0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_involution_pairing_block_formula(self, seed):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mukaitwist import (
     BField,
@@ -21,7 +23,17 @@ from mukaitwist import (
     twisted_involution,
     twisted_involution_matrix,
 )
+from mukaitwist.mukai import _norm_scalar
 from mukaitwist.verify import sample_equivariant_isometry
+
+
+# Entries the constructor accepts: ints (some beyond 64 bits), bools and Fractions.
+INTS = st.integers(-(10**20), 10**20)
+SCALARS = st.one_of(INTS, st.booleans(), st.fractions(max_denominator=4))
+# (r, c, s) with int entries only (the fast path) or with any accepted entries.
+TRIPLES = st.sampled_from([INTS, SCALARS]).flatmap(
+    lambda e: st.tuples(e, st.lists(e, min_size=22, max_size=22), e)
+)
 
 
 def random_integral(rng, bound=50):
@@ -292,6 +304,49 @@ class TestMukaiVector:
         v = MukaiVector(Fraction(4, 2), (0,) * 22, 0)
         assert isinstance(v.r, int) and v.r == 2
         assert v.is_integral()
+
+    @pytest.mark.parametrize("r, s", [(True, False), (0, 0)])
+    def test_bools_become_ints(self, r, s):
+        v = MukaiVector(r, (False, True) * 11, s)
+        assert (v.r, v.c, v.s) == (int(r), (0, 1) * 11, int(s))
+        assert type(v.r) is int and type(v.s) is int and all(type(x) is int for x in v.c)
+
+    def test_integral_fraction_in_c_becomes_int(self):
+        v = MukaiVector(0, (Fraction(4, 2),) + (0,) * 21, 0)
+        assert type(v.c[0]) is int and v.c[0] == 2
+
+    def test_mixed_vector_keeps_its_fractions(self):
+        half = Fraction(1, 2)
+        v = MukaiVector(1, (half, 3) + (0,) * 20, half)
+        assert v.c[:2] == (half, 3) and type(v.c[0]) is Fraction and type(v.c[1]) is int
+        assert v.s == half and not v.is_integral()
+
+    @pytest.mark.parametrize("where", ["r", "c", "s"])
+    def test_float_anywhere_rejected(self, where):
+        r, c, s = 0, [0] * 22, 0
+        if where == "r":
+            r = 1.0
+        elif where == "c":
+            c[5] = 1.0
+        else:
+            s = 1.0
+        with pytest.raises(TypeError):
+            MukaiVector(r, c, s)
+
+    @pytest.mark.parametrize("n", [21, 23])
+    def test_wrong_length_rejected_on_both_paths(self, n):
+        with pytest.raises(ValueError, match="22 coordinates"):
+            MukaiVector(0, (0,) * n, 0)
+        with pytest.raises(ValueError, match="22 coordinates"):
+            MukaiVector(0, (Fraction(1, 2),) * n, 0)
+
+    @given(TRIPLES)
+    def test_fields_are_norm_scalar_entrywise(self, triple):
+        r, c, s = triple
+        v = MukaiVector(r, c, s)
+        expected = (_norm_scalar(r), tuple(map(_norm_scalar, c)), _norm_scalar(s))
+        assert (v.r, v.c, v.s) == expected
+        assert [type(x) for x in (v.r, *v.c, v.s)] == [type(x) for x in (expected[0], *expected[1], expected[2])]
 
     def test_arithmetic(self):
         rng = random.Random(15)

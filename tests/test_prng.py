@@ -3,7 +3,25 @@
 Every report depends on these draws, so a faster generator must reproduce
 them exactly.
 """
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from mukaitwist.prng import GAMMA, SplitMix64, substream
+
+
+def reference_integers(rng, lo, hi, count):
+    """count draws from [lo, hi], each by next_u64 and rejection on its top bits."""
+    out = []
+    for _ in range(count):
+        n = hi - lo + 1
+        bits = (n - 1).bit_length()
+        while True:
+            r = rng.next_u64() >> (64 - bits) if bits else 0
+            if r < n:
+                out.append(lo + r)
+                break
+    return tuple(out)
 
 
 def test_reference_outputs():
@@ -34,3 +52,46 @@ def test_below_rejects_draws_out_of_range():
     # give 1, 0, 0, 1, 0, ... with every 3 rejected.
     rng = SplitMix64(0)
     assert [rng.below(3) for _ in range(8)] == [1, 0, 0, 1, 0, 0, 1, 2]
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+# hi - lo: small spans, spans of 2^k values (a whole number of top bits) and
+# any span up to the 2^64 values one output can cover.
+SPANS = st.one_of(st.integers(0, 300), st.integers(0, 64).map(lambda k: 2**k - 1), st.integers(0, 2**64 - 1))
+
+
+@given(SEEDS, st.integers(-(2**70), 2**70), SPANS, st.integers(0, 40))
+@example(0, 5, 0, 10)  # lo == hi: no draw
+@example(0, 0, 2**64 - 1, 5)  # the whole 64-bit output, no rejection
+@example(1, -3, 3, 0)
+def test_integers_and_below_match_reference(seed, lo, span, count):
+    hi = lo + span
+    fast, ref = SplitMix64(seed), SplitMix64(seed)
+    assert fast.integers(lo, hi, count) == reference_integers(ref, lo, hi, count)
+    assert fast.state == ref.state
+    if count:
+        assert fast.below(span + 1) == reference_integers(ref, 0, span, 1)[0]
+        assert fast.state == ref.state
+        assert fast.integer(lo, hi) == reference_integers(ref, lo, hi, 1)[0]
+        assert fast.state == ref.state
+
+
+@given(SEEDS, st.integers(-100, 100), st.integers(1, 100))
+def test_empty_range(seed, lo, gap):
+    rng = SplitMix64(seed)
+    assert rng.integers(lo, lo - gap, 0) == ()
+    with pytest.raises(ValueError):
+        rng.integers(lo, lo - gap, 1)
+    with pytest.raises(ValueError):
+        rng.integer(lo, lo - gap)
+    with pytest.raises(ValueError):
+        rng.below(1 - gap)
+    assert rng.state == SplitMix64(seed).state
+
+
+def test_range_wider_than_one_output_is_refused():
+    # 2^64 + 1 values need 65 top bits of a 64-bit output.
+    with pytest.raises(ValueError):
+        SplitMix64(0).integers(0, 2**64, 1)
+    with pytest.raises(ValueError):
+        reference_integers(SplitMix64(0), 0, 2**64, 1)

@@ -268,6 +268,22 @@ class TestFailureReporting:
         monkeypatch.undo()
         assert verify._square_congruence_case(ell) is None
 
+    def test_counterexample_is_pinned(self, monkeypatch):
+        """The first failing draw and every figure derived from it. Passing
+        reports carry no sample, so this pins the draws and the arithmetic."""
+        h2 = standard_lattice("mukai_h2")
+        monkeypatch.setattr(verify, "cover_involution_h2", lambda: Isometry(h2, IntMatrix.identity(22)))
+        report = verify_square_congruence(TrialConfig(trials=50, seed=0))
+        assert report.trials_run == 1
+        assert report.counterexample == {
+            "ell": [5, -47, -37, -9, -28, 48, -19, 0, 47, 17, 21, 40, 16, 12, 47, -24, 34, -8, 23, 2, -18, 31],
+            "square": -43868,
+            "square_mod_4": 0,
+            "pairing_with_involution": -25600,
+            "block_formula": 3666,
+            "source": "random trial 0",
+        }
+
     def test_summary_carries_counterexample(self, monkeypatch):
         h2 = standard_lattice("mukai_h2")
         broken = Isometry(h2, IntMatrix.identity(22))
