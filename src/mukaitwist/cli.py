@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .intmat import determinant
 from .ktheory import CohomologySpec, SpecFormatError, e4_page, k1_surface
@@ -58,12 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
     claims.add_argument("--seed", type=int, default=DEFAULT_SEED)
     claims.add_argument("--coord-bound", type=int, default=DEFAULT_COORD_BOUND)
     claims.add_argument("--json", action="store_true")
+    claims.set_defaults(word_length=None)
 
     phi = vsub.add_parser("phi-integrality", help="equivariant-image parity stress test")
     phi.add_argument("--trials", type=int, default=1000)
     phi.add_argument("--word-length", type=int, default=DEFAULT_WORD_LENGTH)
     phi.add_argument("--seed", type=int, default=DEFAULT_SEED)
     phi.add_argument("--json", action="store_true")
+    phi.set_defaults(coord_bound=DEFAULT_COORD_BOUND)
 
     kth = sub.add_parser("ktheory", help="twisted K^1 of a surface from its cohomology")
     source = kth.add_mutually_exclusive_group(required=True)
@@ -87,21 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, as_json: bool, text_lines: list[str]) -> None:
+def _emit(doc: dict, as_json: bool, text_lines: list[str], started: float) -> None:
+    doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=False))
     else:
         for line in text_lines:
             print(line)
-
-
-def _verification_doc(command: str, config: dict, reports) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "checks": [r.check_json() for r in reports],
-    }
 
 
 def _verification_text(reports) -> list[str]:
@@ -115,46 +110,25 @@ def _verification_text(reports) -> list[str]:
     return lines
 
 
-def _run_verify_claims(args) -> int:
+def _run_verify(args) -> int:
     started = time.perf_counter()
     try:
         cfg = TrialConfig(trials=args.trials, seed=args.seed, coord_bound=args.coord_bound)
+        if args.suite == "claims":
+            reports = run_claims_suite(cfg)
+        else:
+            reports = [verify_phi_integrality(cfg, word_length=args.word_length)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    reports = run_claims_suite(cfg)
-    config = {
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "coord_bound": cfg.coord_bound,
-        "word_length": None,
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": f"verify {args.suite}",
+        "config": asdict(cfg) | {"word_length": args.word_length},
+        "checks": [r.check_json() for r in reports],
     }
-    doc = _verification_doc("verify claims", config, reports)
-    doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _emit(doc, args.json, _verification_text(reports))
+    _emit(doc, args.json, _verification_text(reports), started)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
-
-
-def _run_verify_phi(args) -> int:
-    started = time.perf_counter()
-    try:
-        cfg = TrialConfig(trials=args.trials, seed=args.seed, coord_bound=DEFAULT_COORD_BOUND)
-        if args.word_length < 0:
-            raise ValueError("word length must be >= 0")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = verify_phi_integrality(cfg, word_length=args.word_length)
-    config = {
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "coord_bound": cfg.coord_bound,
-        "word_length": args.word_length,
-    }
-    doc = _verification_doc("verify phi-integrality", config, [report])
-    doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _emit(doc, args.json, _verification_text([report]))
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
 def _run_ktheory(args) -> int:
@@ -202,7 +176,6 @@ def _run_ktheory(args) -> int:
             },
         },
     }
-    doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
 
     alpha_desc = "zero" if k == 1 else f"nonzero of order {k}"
     cols = page.columns
@@ -218,7 +191,7 @@ def _run_ktheory(args) -> int:
         "K0 graded pieces (extension problem not resolved): "
         + " | ".join(str(g) for g in k0),
     ]
-    _emit(doc, args.json, text)
+    _emit(doc, args.json, text, started)
     return EXIT_OK
 
 
@@ -245,7 +218,6 @@ def _run_lattice_info(args) -> int:
             "gram": lattice.gram.to_rows(),
         },
     }
-    doc["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
     text = [
         f"lattice: {args.name}",
         f"rank: {lattice.rank}",
@@ -255,7 +227,7 @@ def _run_lattice_info(args) -> int:
         "gram:",
     ]
     text += ["  " + " ".join(f"{e:3d}" for e in lattice.gram.row(i)) for i in range(lattice.rank)]
-    _emit(doc, args.json, text)
+    _emit(doc, args.json, text, started)
     return EXIT_OK
 
 
@@ -263,9 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        if args.suite == "claims":
-            return _run_verify_claims(args)
-        return _run_verify_phi(args)
+        return _run_verify(args)
     if args.command == "ktheory":
         return _run_ktheory(args)
     return _run_lattice_info(args)

@@ -194,12 +194,16 @@ class SpecFormatError(ValueError):
     """Malformed cohomology input; the message names the offending field."""
 
 
+def _reject_unknown_keys(data: dict, known: tuple[str, ...], field: str) -> None:
+    extra = set(data) - set(known)
+    if extra:
+        raise SpecFormatError(f"{field}: unknown keys {sorted(extra, key=str)}")
+
+
 def _group_from_dict(data, field: str) -> FGAbelianGroup:
     if not isinstance(data, dict):
         raise SpecFormatError(f"{field}: expected an object with free_rank and torsion")
-    extra = set(data) - {"free_rank", "torsion"}
-    if extra:
-        raise SpecFormatError(f"{field}: unknown keys {sorted(extra)}")
+    _reject_unknown_keys(data, ("free_rank", "torsion"), field)
     free_rank = data.get("free_rank", 0)
     torsion = data.get("torsion", [])
     if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
@@ -251,6 +255,7 @@ class CohomologySpec:
     def from_dict(cls, data: dict) -> "CohomologySpec":
         if not isinstance(data, dict):
             raise SpecFormatError("top level: expected a JSON object")
+        _reject_unknown_keys(data, ("h0", "h1", "h2", "h3", "h4", "alpha"), "top level")
         groups = {}
         for field in ("h0", "h1", "h2", "h3", "h4"):
             if field not in data:
@@ -261,6 +266,7 @@ class CohomologySpec:
         alpha = data["alpha"]
         if not isinstance(alpha, dict) or "coords" not in alpha:
             raise SpecFormatError("alpha: expected an object with a coords list")
+        _reject_unknown_keys(alpha, ("coords",), "alpha")
         coords = alpha["coords"]
         if not isinstance(coords, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in coords):
             raise SpecFormatError("alpha.coords: expected a list of integers")

@@ -6,6 +6,12 @@ see mukaitwist.prng), so reports are reproducible byte for byte apart from
 elapsed time. Trials share no mutable state and may be evaluated in any
 order; a report is the conjunction of its trials.
 
+Each check is a stream of cases, one result per case: None, or that case's
+counterexample. A sampled check's stream is _<check>_results(cfg, trials),
+one case per trial index in the order given. One driver, _run_cases, runs
+every check: it evaluates the cases in order, the first counterexample
+stops the run, and trials_run counts the cases evaluated, that one included.
+
 A falsified congruence is data, not an exception: the report carries the
 first counterexample, with enough coordinates to re-evaluate the failed
 identity independently.
@@ -29,8 +35,9 @@ Checks:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import chain, combinations, product
 
 from .intmat import IntMatrix, determinant, solve
 from .lattices import (
@@ -111,10 +118,18 @@ class VerificationReport:
         return out
 
 
-def _report(name: str, config: dict, started: float, trials: int, counterexample: dict | None) -> VerificationReport:
+def _run_cases(name: str, config: dict, results) -> VerificationReport:
+    """Evaluate results in order up to and including the first counterexample."""
+    started = time.perf_counter()
+    trials_run = 0
+    counterexample = None
+    for counterexample in results:
+        trials_run += 1
+        if counterexample is not None:
+            break
     return VerificationReport(
         check_name=name,
-        trials_run=trials,
+        trials_run=trials_run,
         passed=counterexample is None,
         counterexample=counterexample,
         config=config,
@@ -150,41 +165,31 @@ def _square_congruence_case(ell: tuple[int, ...]) -> dict | None:
     }
 
 
-def verify_square_congruence(cfg: TrialConfig) -> VerificationReport:
-    """(l + Tl)^2 = 0 mod 4 on random degree-2 classes plus a low-support sweep."""
-    started = time.perf_counter()
-    config = {"trials": cfg.trials, "seed": cfg.seed, "coord_bound": cfg.coord_bound}
-    counterexample = None
-    trials = 0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, trial)
-        ell = rng.integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK)
-        trials += 1
+def _square_results(cfg: TrialConfig, trials):
+    for trial in trials:
+        ell = substream(cfg.seed, trial).integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK)
         counterexample = _square_congruence_case(ell)
         if counterexample is not None:
             counterexample["source"] = f"random trial {trial}"
-            break
-    if counterexample is None:
-        # Exhaustive over all classes supported on at most two coordinates.
-        b = EXHAUSTIVE_ENTRY_BOUND
-        for i in range(H2_RANK):
-            for j in range(i + 1, H2_RANK):
-                for vi in range(-b, b + 1):
-                    for vj in range(-b, b + 1):
-                        ell = [0] * H2_RANK
-                        ell[i], ell[j] = vi, vj
-                        trials += 1
-                        counterexample = _square_congruence_case(tuple(ell))
-                        if counterexample is not None:
-                            counterexample["source"] = f"exhaustive pair ({i}, {j})"
-                            break
-                    if counterexample:
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-    return _report("square-congruence", config, started, trials, counterexample)
+        yield counterexample
+
+
+def _square_sweep():
+    """Exhaustive over all classes supported on at most two coordinates."""
+    values = range(-EXHAUSTIVE_ENTRY_BOUND, EXHAUSTIVE_ENTRY_BOUND + 1)
+    for (i, j), (vi, vj) in product(combinations(range(H2_RANK), 2), product(values, repeat=2)):
+        ell = [0] * H2_RANK
+        ell[i], ell[j] = vi, vj
+        counterexample = _square_congruence_case(tuple(ell))
+        if counterexample is not None:
+            counterexample["source"] = f"exhaustive pair ({i}, {j})"
+        yield counterexample
+
+
+def verify_square_congruence(cfg: TrialConfig) -> VerificationReport:
+    """(l + Tl)^2 = 0 mod 4 on random degree-2 classes plus a low-support sweep."""
+    results = chain(_square_results(cfg, range(cfg.trials)), _square_sweep())
+    return _run_cases("square-congruence", asdict(cfg), results)
 
 
 @lru_cache(maxsize=None)
@@ -198,21 +203,15 @@ def _invariant_from_parameters(a: int, x: tuple[int, ...], z1: tuple[int, ...], 
     return MukaiVector(2 * a, x + x + z1 + z1 + (a, a), s)
 
 
-def verify_characteristic_congruence(cfg: TrialConfig) -> VerificationReport:
-    """<(0,0,1), v> = v^2 mod 4 on T-invariant v from two independent samplers."""
-    started = time.perf_counter()
-    config = {"trials": cfg.trials, "seed": cfg.seed, "coord_bound": cfg.coord_bound}
+def _characteristic_results(cfg: TrialConfig, trials):
     minus_e8 = standard_lattice("minus_e8")
     u_lat = standard_lattice("u")
     basis, _ = _invariant_basis()
     n_basis = basis.cols
     point = point_class()
     b = cfg.coord_bound
-    counterexample = None
-    trials = 0
-    for trial in range(cfg.trials):
+    for trial in trials:
         rng = substream(cfg.seed, trial)
-        trials += 1
 
         # Sampler (i): closed-form parametrization.
         a = rng.integer(-b, b)
@@ -234,14 +233,14 @@ def verify_characteristic_congruence(cfg: TrialConfig) -> VerificationReport:
         if (pair - vsq) % 4 != 0:
             problems.append("congruence fails")
         if problems:
-            counterexample = {
+            yield {
                 "source": f"parametrized sampler, trial {trial}",
                 "parameters": {"a": a, "x": list(x), "z1": list(z1), "s": s},
                 "pairing": pair,
                 "square": vsq,
                 "problems": problems,
             }
-            break
+            continue
 
         # Sampler (ii): random combination of the computed kernel basis of T - 1.
         coeffs = rng.integers(-b, b, n_basis)
@@ -254,7 +253,7 @@ def verify_characteristic_congruence(cfg: TrialConfig) -> VerificationReport:
         if (pair_w - wsq) % 4 != 0:
             problems.append("congruence fails")
         if problems:
-            counterexample = {
+            yield {
                 "source": f"kernel-basis sampler, trial {trial}",
                 "coefficients": list(coeffs),
                 "vector": list(w.coords()),
@@ -262,8 +261,43 @@ def verify_characteristic_congruence(cfg: TrialConfig) -> VerificationReport:
                 "square": wsq,
                 "problems": problems,
             }
-            break
-    return _report("characteristic-congruence", config, started, trials, counterexample)
+            continue
+        yield None
+
+
+def verify_characteristic_congruence(cfg: TrialConfig) -> VerificationReport:
+    """<(0,0,1), v> = v^2 mod 4 on T-invariant v from two independent samplers."""
+    results = _characteristic_results(cfg, range(cfg.trials))
+    return _run_cases("characteristic-congruence", asdict(cfg), results)
+
+
+def _invariant_lattice_results():
+    """The invariant-lattice checks in order: None for a pass, else the failure."""
+    basis, gram = _invariant_basis()
+    wrong_rank = basis.cols != 12
+    yield {"reason": "invariant lattice has wrong rank", "rank": basis.cols} if wrong_rank else None
+    odd_gram = any(e % 2 for e in gram.flat)
+    yield {"reason": "Gram form of invariant lattice is not even"} if odd_gram else None
+    half = IntMatrix(gram.rows, gram.cols, [e // 2 for e in gram.flat])
+    half_det = determinant(half)
+    yield {"reason": "half form is not unimodular", "det": half_det} if half_det not in (1, -1) else None
+    even_half = all(half[i, i] % 2 == 0 for i in range(half.rows))
+    yield {"reason": "half form is even; expected an odd form"} if even_half else None
+    point_coords = solve(basis, point_class().coords())
+    if point_coords is None:
+        yield {"reason": "(0,0,1) is not in the computed invariant lattice"}
+        return
+    yield None
+    half_point = half.mul_vec(point_coords)
+    bad = [i for i in range(half.rows) if (half_point[i] - half[i, i]) % 2 != 0]
+    if bad:
+        yield {
+            "reason": "(0,0,1) is not characteristic for the half form",
+            "basis_indices": bad,
+            "point_in_basis": list(point_coords),
+        }
+    else:
+        yield None
 
 
 def verify_invariant_lattice() -> VerificationReport:
@@ -273,35 +307,7 @@ def verify_invariant_lattice() -> VerificationReport:
     (det +-1); half form odd (an odd diagonal entry); (0,0,1) lies in the
     invariant lattice and is characteristic for the half form.
     """
-    started = time.perf_counter()
-    checks, counterexample = _invariant_lattice_checks(*_invariant_basis())
-    return _report("invariant-lattice", {}, started, checks, counterexample)
-
-
-def _invariant_lattice_checks(basis: IntMatrix, gram: IntMatrix) -> tuple[int, dict | None]:
-    """Run the invariant-lattice checks in order: (checks run, first failure or None)."""
-    if basis.cols != 12:
-        return 1, {"reason": "invariant lattice has wrong rank", "rank": basis.cols}
-    if any(e % 2 for e in gram.flat):
-        return 2, {"reason": "Gram form of invariant lattice is not even"}
-    half = IntMatrix(gram.rows, gram.cols, [e // 2 for e in gram.flat])
-    half_det = determinant(half)
-    if half_det not in (1, -1):
-        return 3, {"reason": "half form is not unimodular", "det": half_det}
-    if all(half[i, i] % 2 == 0 for i in range(half.rows)):
-        return 4, {"reason": "half form is even; expected an odd form"}
-    point_coords = solve(basis, point_class().coords())
-    if point_coords is None:
-        return 5, {"reason": "(0,0,1) is not in the computed invariant lattice"}
-    half_point = half.mul_vec(point_coords)
-    bad = [i for i in range(half.rows) if (half_point[i] - half[i, i]) % 2 != 0]
-    if bad:
-        return 6, {
-            "reason": "(0,0,1) is not characteristic for the half form",
-            "basis_indices": bad,
-            "point_in_basis": list(point_coords),
-        }
-    return 6, None
+    return _run_cases("invariant-lattice", {}, _invariant_lattice_results())
 
 
 @lru_cache(maxsize=None)
@@ -338,11 +344,7 @@ def _generator_pool() -> tuple[Isometry | Reflection, ...]:
 
 def _sample_word(seed: int, word_length: int) -> list[Isometry | Reflection]:
     """The letters of a deterministic word in the generator pool, leftmost first."""
-    if word_length < 0:
-        raise ValueError("word_length must be >= 0")
     pool = _generator_pool()
-    if not pool:
-        raise RuntimeError("equivariant generator pool is empty")
     rng = SplitMix64(mix64(seed))
     return [pool[rng.below(len(pool))] for _ in range(word_length)]
 
@@ -361,6 +363,8 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
     as verify_phi_integrality evaluates it on (0,0,1); it is then checked as
     an isometry and for commuting with T.
     """
+    if word_length < 0:
+        raise ValueError("word length must be >= 0")
     word = _sample_word(seed, word_length)
     result = Isometry(full_lattice(), IntMatrix.of_map(lambda e: _apply_word(word, e), FULL_RANK))
     t_mat = twisted_involution_matrix().matrix
@@ -372,47 +376,30 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
 STRENGTHENED_PAIRINGS_PER_TRIAL = 10
 
 
-def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LENGTH) -> VerificationReport:
-    """Images phi(0,0,1) under sampled equivariant words have even degree-2 part.
-
-    Also asserts the strengthening <phi(0,0,1), l + Tl> = 0 mod 4 on
-    STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
-    """
-    if word_length < 0:
-        raise ValueError("word_length must be >= 0")
-    started = time.perf_counter()
-    config = {
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "coord_bound": cfg.coord_bound,
-        "word_length": word_length,
-    }
+def _phi_results(cfg: TrialConfig, trials, word_length: int):
     point = point_class()
-    counterexample = None
-    trials = 0
-    for trial in range(cfg.trials):
+    for trial in trials:
         rng = substream(cfg.seed, trial)
         length = rng.below(word_length + 1)
         word_seed = rng.next_u64()
         image = _apply_word(_sample_word(word_seed, length), point.coords())
-        trials += 1
         degree2 = image[1:23]
         if any(c % 2 for c in degree2):
-            counterexample = {
+            yield {
                 "source": f"trial {trial}",
                 "word_seed": word_seed,
                 "word_length": length,
                 "image": list(image),
                 "odd_degree2_indices": [i for i, c in enumerate(degree2) if c % 2],
             }
-            break
+            continue
         image_vec = MukaiVector.from_coords(image)
         for k in range(STRENGTHENED_PAIRINGS_PER_TRIAL):
             ell = MukaiVector.from_h2(rng.integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK))
             doubled = ell + twisted_involution(ell)
             pairing = mukai_pairing(image_vec, doubled)
             if pairing % 4:
-                counterexample = {
+                yield {
                     "source": f"trial {trial}, pairing {k}",
                     "word_seed": word_seed,
                     "word_length": length,
@@ -422,9 +409,20 @@ def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LEN
                     "pairing_mod_4": pairing % 4,
                 }
                 break
-        if counterexample:
-            break
-    return _report("phi-integrality", config, started, trials, counterexample)
+        else:
+            yield None
+
+
+def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LENGTH) -> VerificationReport:
+    """Images phi(0,0,1) under sampled equivariant words have even degree-2 part.
+
+    Also asserts the strengthening <phi(0,0,1), l + Tl> = 0 mod 4 on
+    STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
+    """
+    if word_length < 0:
+        raise ValueError("word length must be >= 0")
+    config = asdict(cfg) | {"word_length": word_length}
+    return _run_cases("phi-integrality", config, _phi_results(cfg, range(cfg.trials), word_length))
 
 
 def run_claims_suite(cfg: TrialConfig) -> list[VerificationReport]:

@@ -68,6 +68,25 @@ class TestKtheoryCommand:
         assert code == 2
         assert "h3.torsion" in err
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(h5={"free_rank": 1, "torsion": []}), "top level: unknown keys ['h5']"),
+            (lambda d: d["alpha"].update(typo=1), "alpha: unknown keys ['typo']"),
+            (lambda d: d["h3"].update(bogus=1), "h3: unknown keys ['bogus']"),
+        ],
+        ids=["top-level", "alpha", "group"],
+    )
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path, mutate, message):
+        doc = json.loads((DATA / "enriques.json").read_text())
+        mutate(doc)
+        bad = tmp_path / "extra.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ktheory", "--input", str(bad))
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b"\xff")
@@ -224,6 +243,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", suite, "--trials", "1", "--seed", str(seed))
         assert code == 2
         assert "seed" in err
+        assert out == ""
+
+    def test_negative_word_length_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "phi-integrality", "--word-length", "-1", "--trials", "1")
+        assert code == 2
+        assert "word length" in err
         assert out == ""
 
     def test_invariant_lattice_failure_exits_one(self, capsys, monkeypatch):

@@ -296,6 +296,11 @@ class TestSpecIO:
             (lambda d: d.update(alpha={"coords": [1, 2]}), "alpha.coords"),
             (lambda d: d.update(alpha={"coords": "x"}), "alpha.coords"),
             (lambda d: d["h0"].update(bogus=1), "h0"),
+            pytest.param(  # keys that do not sort together
+                lambda d: d["h0"].update({1: 1, "bogus": 1}), "h0", id="h0-unsortable-keys"
+            ),
+            pytest.param(lambda d: d.update(h5={}), "top level", id="top-level-extra-key"),
+            pytest.param(lambda d: d["alpha"].update(typo=1), "alpha", id="alpha-extra-key"),
         ],
     )
     def test_malformed_input_names_field(self, mutate, field):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -187,7 +188,7 @@ class TestPhiFailureReporting:
         report = verify_phi_integrality(TrialConfig(trials=50, seed=3), word_length=4)
         assert not report.passed
         ce = report.counterexample
-        assert {"word_seed", "word_length", "image", "odd_degree2_indices"} <= ce.keys()
+        assert list(ce) == ["source", "word_seed", "word_length", "image", "odd_degree2_indices"]
         assert ce["source"] == f"trial {report.trials_run - 1}"
         replayed = verify._apply_word(verify._sample_word(ce["word_seed"], ce["word_length"]), point_class().coords())
         assert list(replayed) == ce["image"]
@@ -284,6 +285,34 @@ class TestFailureReporting:
             "source": "random trial 0",
         }
 
+    @pytest.mark.parametrize(
+        "trials, expected",
+        [
+            (
+                50,
+                '{"name": "square-congruence", "passed": false, "trials_run": 1, "counterexample": '
+                '{"ell": [5, -47, -37, -9, -28, 48, -19, 0, 47, 17, 21, 40, 16, 12, 47, -24, 34, -8, 23, 2, -18, 31], '
+                '"square": -43868, "square_mod_4": 0, "pairing_with_involution": -25600, "block_formula": 3666, '
+                '"source": "random trial 0"}}',
+            ),
+            (
+                0,
+                '{"name": "square-congruence", "passed": false, "trials_run": 1, "counterexample": '
+                '{"ell": [-2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+                '"square": -16, "square_mod_4": 0, "pairing_with_involution": -8, "block_formula": 0, '
+                '"source": "exhaustive pair (0, 1)"}}',
+            ),
+        ],
+        ids=["random-trial", "sweep"],
+    )
+    def test_report_text_is_pinned(self, monkeypatch, trials, expected):
+        """Key order and sweep order: the first failing random trial, and with
+        no random trials the first case of the exhaustive sweep."""
+        h2 = standard_lattice("mukai_h2")
+        monkeypatch.setattr(verify, "cover_involution_h2", lambda: Isometry(h2, IntMatrix.identity(22)))
+        report = verify_square_congruence(TrialConfig(trials=trials, seed=0))
+        assert json.dumps(report.check_json()) == expected
+
     def test_summary_carries_counterexample(self, monkeypatch):
         h2 = standard_lattice("mukai_h2")
         broken = Isometry(h2, IntMatrix.identity(22))
@@ -304,3 +333,101 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="seed"):
             TrialConfig(seed=2**64)
         assert TrialConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def _break_square(monkeypatch):
+    """tau replaced by the identity on classes with odd first coordinate."""
+    tau = verify.cover_involution_h2()
+    monkeypatch.setattr(verify, "cover_involution_h2", lambda: lambda ell: ell if ell[0] % 2 else tau(ell))
+
+
+def _break_characteristic(monkeypatch):
+    """T moved off vectors whose s is divisible by 3, from either sampler."""
+    twist = verify.twisted_involution
+
+    def moved(v):
+        return twist(v) + MukaiVector(int(v.s % 3 == 0), (0,) * 22, 0)
+
+    monkeypatch.setattr(verify, "twisted_involution", moved)
+
+
+def _break_phi(monkeypatch):
+    """T and a reflection that does not commute with T, so some images are odd."""
+    pool = (twisted_involution_matrix(), Reflection(full_lattice(), TestPhiFailureReporting.BREAKING))
+    monkeypatch.setattr(verify, "_generator_pool", lambda: pool)
+
+
+ORDER_CASES = {
+    "square": (verify._square_results, verify_square_congruence, _break_square),
+    "characteristic": (verify._characteristic_results, verify_characteristic_congruence, _break_characteristic),
+    "phi": (
+        lambda cfg, trials: verify._phi_results(cfg, trials, 4),
+        lambda cfg: verify_phi_integrality(cfg, word_length=4),
+        _break_phi,
+    ),
+}
+ORDER_CFG = TrialConfig(trials=40, seed=77, coord_bound=50)
+
+
+def _results_by_index(results, chunks) -> dict:
+    """Each chunk of trial indices evaluated on its own, last chunk first."""
+    out = {}
+    for chunk in reversed(chunks):
+        chunk_results = list(results(ORDER_CFG, chunk))
+        assert len(chunk_results) == len(chunk)
+        out.update(zip(chunk, chunk_results))
+    return out
+
+
+def _orders(n: int):
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    return {
+        "shuffled": [shuffled],
+        "split": [range(0, 7), range(7, 8), range(8, 25), range(25, n)],
+        "shuffled and split": [shuffled[:13], shuffled[13:]],
+    }
+
+
+@pytest.mark.parametrize("check", ORDER_CASES)
+class TestOrderIndependence:
+    """A trial's result depends on its index alone, so any evaluation order,
+    merged at the lowest failing index, reproduces the serial report."""
+
+    def test_result_per_index_is_order_free(self, monkeypatch, check):
+        results, _, breaker = ORDER_CASES[check]
+        breaker(monkeypatch)
+        n = ORDER_CFG.trials
+        serial = _results_by_index(results, [range(n)])
+        assert None in serial.values() and any(serial.values())  # both outcomes occur
+        for chunks in _orders(n).values():
+            assert _results_by_index(results, chunks) == serial
+
+    @pytest.mark.parametrize("k", [0, 23, 39])
+    def test_one_failing_trial_merges_to_the_serial_report(self, monkeypatch, check, k):
+        results, run_serially, _ = ORDER_CASES[check]
+        trial = [None]
+        draw, pairing = verify.substream, verify.mukai_pairing
+
+        def spy(seed, index):
+            trial[0] = index
+            return draw(seed, index)
+
+        # Every pairing in trial k is off by one, which each of the three checks reports.
+        monkeypatch.setattr(verify, "substream", spy)
+        monkeypatch.setattr(verify, "mukai_pairing", lambda u, v: pairing(u, v) + (trial[0] == k))
+        serial = run_serially(ORDER_CFG)
+        assert serial.trials_run == k + 1
+        for chunks in _orders(ORDER_CFG.trials).values():
+            by_index = _results_by_index(results, chunks)
+            failing = [i for i, counterexample in by_index.items() if counterexample is not None]
+            assert failing == [k]
+            merged = verify.VerificationReport(
+                check_name=serial.check_name,
+                trials_run=min(failing) + 1,
+                passed=False,
+                counterexample=by_index[min(failing)],
+                config=serial.config,
+                elapsed_s=0.0,
+            )
+            assert json.dumps(merged.summary()) == json.dumps(serial.summary())
