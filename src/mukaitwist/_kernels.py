@@ -9,7 +9,13 @@ a_ij != 0. The Gram matrices of the standard lattices have at most four
 nonzero entries per row (50 of 484 for mukai_h2), so a call costs a few
 products per coordinate, not a pass over every entry. ``matmul`` and
 ``norm_scan`` take flat row-major sequences.
+
+``norm_scan`` enumerates a box by meeting in the middle: it splits the
+coordinates into a head and a tail half, matches the two halves' values of
+the form through a dict, and sorts the hits once at the end, so a scan costs
+about two half-boxes rather than the whole box.
 """
+from itertools import product
 
 
 def matmul(a, b, n, k, m):
@@ -61,44 +67,53 @@ def quadform(rows, v, _bilinear=bilinear):
     return _bilinear(rows, v, v)
 
 
+def _half_box(g, n, lo, hi, xs):
+    """Every v in the box over coordinates lo..hi-1, in lex order, with its Q(v)."""
+    terms = [
+        (i - lo, j - lo, g[i * n + j] if i == j else 2 * g[i * n + j])
+        for i in range(lo, hi)
+        for j in range(i, hi)
+        if g[i * n + j]
+    ]
+    return [(v, sum(w * v[i] * v[j] for i, j, w in terms)) for v in product(xs, repeat=hi - lo)]
+
+
 def norm_scan(g, n, target, bound):
     """All v in the box [-bound, bound]^n with v^T G v == target, in lex order.
 
-    A depth-first walk over the coordinates, leftmost first, so hits come out
-    in lexicographic order. With v_0..v_{k-1} fixed it carries the partial
-    form q = Q(v_0..v_{k-1}, 0, ..) and the linear forms lin[j] =
-    2 sum_{i<k} g_ij v_i, so choosing v_k = x adds x (lin[k] + g_kk x) to q
-    and 2 g_kj x to each later lin[j]. A box point then costs O(1)
-    amortised, not a pass over the whole form.
+    Meet in the middle (Horowitz-Sahni): v splits into a head a over
+    coordinates 0..h-1, h = n // 2, and a tail t over h..n-1, and
+    Q(v) = Q_head(a) + Q_tail(t) + key(a) . t, where key(a) holds
+    2 sum_i g_ij a_i for each tail coordinate j that some head coordinate
+    couples to. Heads are grouped by key. For each key one dict maps
+    Q_tail(t) + key(a) . t to its tails, every head of the group looks up
+    target - Q_head(a), and the dict is dropped before the next key, so
+    memory stays linear in the two half-boxes plus the hits even when every
+    head has its own key. Groups come out in no particular order; one sort at
+    the end restores lex order.
     """
-    if n == 0:
-        return [()] if target == 0 else []
     xs = range(-bound, bound + 1)
-    diag = [g[k * n + k] for k in range(n)]
-    # Twice the nonzero strictly-upper entries of row k: how v_k feeds later lin[j].
-    couplings = [[(j, 2 * g[k * n + j]) for j in range(k + 1, n) if g[k * n + j]] for k in range(n)]
-    last = n - 1
-    prefix = [0] * n
+    h = n // 2
+    # Each tail coordinate (indexed within the tail) that some head coordinate
+    # couples to, and the couplings (i, 2 g_ij) that make up its key entry.
+    coupled, cols = [], []
+    for j in range(h, n):
+        col = [(i, 2 * g[i * n + j]) for i in range(h) if g[i * n + j]]
+        if col:
+            coupled.append(j - h)
+            cols.append(col)
+    groups = {}
+    for a, qa in _half_box(g, n, 0, h, xs):
+        key = tuple(sum(w * a[i] for i, w in col) for col in cols)
+        groups.setdefault(key, []).append((a, qa))
+    tails = _half_box(g, n, h, n, xs)
     hits = []
-
-    def scan(k, q, lin):
-        d, l = diag[k], lin[k]
-        if k == last:
-            rest = target - q
-            for x in xs:
-                if x * (l + d * x) == rest:
-                    prefix[k] = x
-                    hits.append(tuple(prefix))
-            return
-        row = couplings[k]
-        for x in xs:
-            prefix[k] = x
-            nxt = lin
-            if x and row:
-                nxt = lin[:]
-                for j, w in row:
-                    nxt[j] += w * x
-            scan(k + 1, q + x * (l + d * x), nxt)
-
-    scan(0, 0, [0] * n)
+    for key, heads in groups.items():
+        by_value = {}
+        for t, qt in tails:
+            by_value.setdefault(qt + sum(k * t[j] for k, j in zip(key, coupled)), []).append(t)
+        for a, qa in heads:
+            for t in by_value.get(target - qa, ()):
+                hits.append(a + t)
+    hits.sort()
     return hits

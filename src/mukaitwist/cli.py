@@ -29,6 +29,7 @@ from .lattices import definiteness, signature, standard_lattice
 from .mukai import full_lattice
 from .verify import (
     DEFAULT_COORD_BOUND,
+    DEFAULT_PHI_TRIALS,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     DEFAULT_WORD_LENGTH,
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     claims.set_defaults(word_length=None)
 
     phi = vsub.add_parser("phi-integrality", help="equivariant-image parity stress test")
-    phi.add_argument("--trials", type=int, default=1000)
+    phi.add_argument("--trials", type=int, default=DEFAULT_PHI_TRIALS)
     phi.add_argument("--word-length", type=int, default=DEFAULT_WORD_LENGTH)
     phi.add_argument("--seed", type=int, default=DEFAULT_SEED)
     phi.add_argument("--json", action="store_true")

@@ -255,12 +255,13 @@ def reflection(lattice: Lattice, w: Sequence[int]) -> Isometry:
 def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[Vector]:
     """All vectors with coordinates in [-coord_bound, coord_bound] of the given square.
 
-    Naive box enumeration in lexicographic order; intended for the tiny
-    norms and bounds needed to harvest reflection vectors.
+    In lexicographic order, from ``_kernels.norm_scan``: a meet-in-the-middle
+    scan of the box that costs about two half-boxes, so it suits the small
+    bounds needed to harvest reflection vectors, not large ones.
     """
     if coord_bound < 0:
         raise ValueError("coord_bound must be >= 0")
-    return [tuple(v) for v in _kernels.norm_scan(lattice.gram.flat, lattice.rank, target_norm, coord_bound)]
+    return _kernels.norm_scan(lattice.gram.flat, lattice.rank, target_norm, coord_bound)
 
 
 def signature(gram: IntMatrix) -> tuple[int, int, int]:

@@ -68,6 +68,7 @@ from .prng import SplitMix64, mix64, substream
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 100_000
+DEFAULT_PHI_TRIALS = 1000
 DEFAULT_COORD_BOUND = 50
 DEFAULT_WORD_LENGTH = 8
 

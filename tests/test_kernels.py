@@ -1,7 +1,7 @@
 """The integer kernels against their dense definitions and brute-force oracles."""
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import box_norm_scan
@@ -65,6 +65,67 @@ def symmetric_grams(draw, max_n=5, entry_bound=3):
 def test_pure_norm_scan_matches_box_oracle(gram, target, bound):
     flat, n = gram
     assert _kernels.norm_scan(flat, n, target, bound) == box_norm_scan(flat, n, target, bound)
+
+
+@st.composite
+def sparse_symmetric_grams(draw):
+    """A flat symmetric Gram whose off-diagonal entries are mostly 0, and its n.
+
+    Sparse enough that heads of a meet-in-the-middle split share coupling
+    keys and some tail coordinates couple to no head coordinate, with
+    nonzero entries free to land on either side of the split or across it.
+    """
+    n = draw(st.integers(6, 8))
+    off = st.integers(-2, 2).filter(bool)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 4)) == 0:
+                g[i][j] = g[j][i] = draw(off)
+    return tuple(x for row in g for x in row), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_symmetric_grams(), st.integers(-4, 4), st.integers(0, 1))
+def test_norm_scan_on_wider_sparse_grams_matches_box_oracle(gram, target, bound):
+    flat, n = gram
+    assert _kernels.norm_scan(flat, n, target, bound) == box_norm_scan(flat, n, target, bound)
+
+
+def test_norm_scan_small_cases():
+    assert _kernels.norm_scan((), 0, 0, 1) == [()]
+    assert _kernels.norm_scan((), 0, 2, 1) == []
+    # n = 1: the head is empty, every coordinate is tail.
+    assert _kernels.norm_scan((2,), 1, 2, 1) == [(-1,), (1,)]
+    assert _kernels.norm_scan((2,), 1, 8, 2) == [(-2,), (2,)]
+    assert _kernels.norm_scan((2,), 1, 4, 2) == []
+    # bound = 0: only the origin is in the box.
+    flat = (2, 1, 1, 2)
+    assert _kernels.norm_scan(flat, 2, 0, 0) == [(0, 0)]
+    assert _kernels.norm_scan(flat, 2, 2, 0) == []
+
+
+def test_norm_scan_dense_rank_8_matches_box_oracle():
+    # Every entry nonzero, so every head coordinate couples to every tail
+    # coordinate. Column 4 reads 1, 3, 9, 27 on the head, so the coupling
+    # key of a head in {-1, 0, 1}^4 is its balanced-ternary value: all 81
+    # heads have their own key.
+    rows = [
+        [2, 1, 1, -1, 1, 1, -1, 1],
+        [1, -2, -1, 1, 3, -1, 1, 1],
+        [1, -1, 2, 1, 9, 1, 1, -1],
+        [-1, 1, 1, -2, 27, 1, -1, 1],
+        [1, 3, 9, 27, 2, -1, 1, 1],
+        [1, -1, 1, 1, -1, -2, 1, -1],
+        [-1, 1, 1, -1, 1, 1, 2, 1],
+        [1, 1, -1, 1, 1, -1, 1, -2],
+    ]
+    assert all(rows[i][j] == rows[j][i] != 0 for i in range(8) for j in range(8))
+    flat = tuple(x for row in rows for x in row)
+    for target in (-2, 0, 2):
+        hits = _kernels.norm_scan(flat, 8, target, 1)
+        assert hits and hits == box_norm_scan(flat, 8, target, 1)
 
 
 def test_dispatcher_falls_back_on_big_entries():
