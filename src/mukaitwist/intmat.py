@@ -11,6 +11,11 @@ Conventions, fixed once so golden tests are stable:
   into ``[0, pivot)``.
 * ``smith_normal_form`` returns ``S = U @ M @ V`` diagonal with
   ``d1 | d2 | ... | dk >= 0`` and trailing zeros.
+
+Both forms share one elimination, ``_hermite_rows``. The Smith form
+alternates Hermite forms of the rows and of the columns; reducing above
+every pivot on each pass keeps the entries of U and V small, where
+eliminating without that reduction lets them grow to thousands of digits.
 """
 from __future__ import annotations
 
@@ -208,13 +213,11 @@ def _row_gcd_step(a: list[list[int]], u: list[list[int]], piv: int, i: int, col:
     u[i] = [-qg * s + pg * t for s, t in zip(up, ui)]
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style HNF: returns (H, U) with H = U @ M and U unimodular."""
-    r, c = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
+def _hermite_rows(a: list[list[int]], u: list[list[int]]) -> None:
+    """Row-reduce a to Hermite form in place, applying every row operation to u too."""
+    r = len(a)
     piv = 0
-    for col in range(c):
+    for col in range(len(a[0]) if r else 0):
         if piv >= r:
             break
         pivot_at = None
@@ -240,106 +243,58 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[piv])]
                 u[i] = [x - f * y for x, y in zip(u[i], u[piv])]
         piv += 1
-    return IntMatrix.from_rows(a) if r else IntMatrix.zero(0, c), IntMatrix.from_rows(u) if r else IntMatrix.identity(0)
 
 
-def _col_gcd_step(a: list[list[int]], v: list[list[int]], piv: int, j: int, row: int) -> None:
-    """Column analogue of _row_gcd_step, mirrored into the right transform v."""
-    p, q = a[row][piv], a[row][j]
-    if q % p == 0:
-        f = q // p
-        for rr in a:
-            rr[j] -= f * rr[piv]
-        for rr in v:
-            rr[j] -= f * rr[piv]
-        return
-    g, x, y = _xgcd(p, q)
-    pg, qg = p // g, q // g
-    for rr in a:
-        s, t = rr[piv], rr[j]
-        rr[piv] = x * s + y * t
-        rr[j] = -qg * s + pg * t
-    for rr in v:
-        s, t = rr[piv], rr[j]
-        rr[piv] = x * s + y * t
-        rr[j] = -qg * s + pg * t
+def _transposed(a: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
+
+
+def _from_rows(a: list[list[int]], cols: int) -> IntMatrix:
+    return IntMatrix._raw(len(a), cols, [x for row in a for x in row])
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style HNF: returns (H, U) with H = U @ M and U unimodular."""
+    a = m.to_rows()
+    u = IntMatrix.identity(m.rows).to_rows()
+    _hermite_rows(a, u)
+    return _from_rows(a, m.cols), _from_rows(u, m.rows)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Returns (S, U, V) with S = U @ M @ V diagonal, d1 | d2 | ... | dk >= 0."""
+    """Returns (S, U, V) with S = U @ M @ V diagonal, d1 | d2 | ... | dk >= 0.
+
+    Hermite forms of the rows and of the columns alternate until the matrix
+    is diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979). Column
+    operations are row operations on the transpose, recorded in V^T. Where
+    d_i does not divide d_(i+1), column i+1 is added to column i and the
+    alternation resumes, which replaces d_i by gcd(d_i, d_(i+1)).
+    """
     r, c = m.rows, m.cols
     a = m.to_rows()
     u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
-    n = min(r, c)
-
-    def clear_at(t: int) -> None:
-        # Alternate row and column elimination until the cross at (t, t) is clean.
-        while True:
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    _row_gcd_step(a, u, t, i, t)
-            if all(a[t][j] == 0 for j in range(t + 1, c)):
-                break
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    _col_gcd_step(a, v, t, j, t)
-            if all(a[i][t] == 0 for i in range(t + 1, r)):
-                break
-
-    t = 0
-    while t < n:
-        found = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for rr in a:
-                rr[t], rr[j] = rr[j], rr[t]
-            for rr in v:
-                rr[t], rr[j] = rr[j], rr[t]
-        clear_at(t)
-        t += 1
-
-    rank = t
-    for i in range(rank):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    # Repair the divisibility chain; each fix replaces d_i by gcd(d_i, d_{i+1}).
-    i = 0
-    while i < rank - 1:
-        if a[i + 1][i + 1] % a[i][i] != 0:
-            for rr in a:
-                rr[i] += rr[i + 1]
-            for rr in v:
-                rr[i] += rr[i + 1]
-            clear_at(i)
-            if a[i][i] < 0:
-                a[i] = [-x for x in a[i]]
-                u[i] = [-x for x in u[i]]
-            if a[i + 1][i + 1] < 0:
-                a[i + 1] = [-x for x in a[i + 1]]
-                u[i + 1] = [-x for x in u[i + 1]]
-            i = max(i - 1, 0)
+    vt = IntMatrix.identity(c).to_rows()
+    on_rows = True
+    while True:
+        if on_rows:
+            _hermite_rows(a, u)
         else:
-            i += 1
-
-    s_mat = IntMatrix.from_rows(a) if r else IntMatrix.zero(0, c)
-    u_mat = IntMatrix.from_rows(u) if r else IntMatrix.identity(0)
-    v_mat = IntMatrix.from_rows(v) if c else IntMatrix.identity(0)
-    return s_mat, u_mat, v_mat
+            at = _transposed(a)
+            _hermite_rows(at, vt)
+            a = _transposed(at)
+        on_rows = not on_rows
+        if any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(a)):
+            continue
+        # Diagonal and in echelon form: positive entries first, zeros trailing.
+        broken = next((i for i in range(min(r, c) - 1) if a[i][i] and a[i + 1][i + 1] % a[i][i]), None)
+        if broken is None:
+            break
+        for row in a:
+            row[broken] += row[broken + 1]
+        vt[broken] = [x + y for x, y in zip(vt[broken], vt[broken + 1])]
+        # A column Hermite form would undo the addition; the rows go next.
+        on_rows = True
+    return _from_rows(a, c), _from_rows(u, r), _from_rows(_transposed(vt), c)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

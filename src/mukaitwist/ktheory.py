@@ -6,6 +6,13 @@ over the generators, free generators first, then one generator per torsion
 factor. Presentations are canonicalized through the Smith normal form;
 direct sums, being diagonal, are folded into the chain with gcd and lcm.
 
+A quotient by one element presents at most one free generator and one
+generator per distinct torsion factor, each carrying the gcd of the
+element's coordinates on that block; the other generators of the block
+split off as a direct summand. The Smith form therefore stays as small as
+the number of distinct factors, however many generators the element
+involves.
+
 The degree computation is the spectral-sequence endgame for a compact
 surface twisted by a torsion class alpha in H^3: the only differential that
 can act sends the H^0 generator to a multiple of alpha, killing nothing
@@ -76,7 +83,7 @@ class FGAbelianGroup:
 
     @classmethod
     def cyclic(cls, d: int) -> "FGAbelianGroup":
-        return cls(0, (d,)) if d != 0 else cls(1)
+        return cls.from_presentation(1, [[d]])
 
     @classmethod
     def from_presentation(cls, n_generators: int, relations: Sequence[Sequence[int]]) -> "FGAbelianGroup":
@@ -109,15 +116,6 @@ class FGAbelianGroup:
             n *= d
         return n
 
-    def _relation_columns(self) -> list[list[int]]:
-        n = self.n_generators
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * n
-            col[self.free_rank + i] = d
-            cols.append(col)
-        return cols
-
     def reduce_element(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Normalize element coordinates: torsion entries reduced mod their factor."""
         if len(coords) != self.n_generators:
@@ -140,17 +138,21 @@ class FGAbelianGroup:
     def quotient_by(self, coords: Sequence[int]) -> "FGAbelianGroup":
         """The quotient by the cyclic subgroup generated by one element."""
         coords = self.reduce_element(coords)
-        # Generators the element does not involve split off as a direct
-        # summand; only the others are presented.
-        free = [c for c in coords[: self.free_rank] if c]
-        torsion = list(zip(coords[self.free_rank :], self.torsion))
-        involved = [(c, d) for c, d in torsion if c]
-        sub = FGAbelianGroup(len(free), tuple(d for _, d in involved))
-        q = FGAbelianGroup.from_presentation(
-            sub.n_generators, sub._relation_columns() + [free + [c for c, _ in involved]]
-        )
-        rest = FGAbelianGroup(self.free_rank - len(free) + q.free_rank, tuple(d for c, d in torsion if not c))
-        return rest.direct_sum(FGAbelianGroup(0, q.torsion))
+        f = self.free_rank
+        # On the k generators of one factor d, a change of basis in GL_k(Z)
+        # moves the element's coordinates to (gcd, 0, ..., 0): the other k - 1
+        # split off as (Z/d)^(k-1), and likewise on the free generators.
+        gcds: dict[int, int] = {}
+        for c, d in zip(coords[f:], self.torsion):
+            gcds[d] = gcd(gcds.get(d, 0), c)
+        kept = min(f, 1)
+        n = kept + len(gcds)
+        relations = [[d if i == kept + j else 0 for i in range(n)] for j, d in enumerate(gcds)]
+        element = [gcd(*coords[:f])] * kept + list(gcds.values())
+        q = FGAbelianGroup.from_presentation(n, relations + [element])
+        t = self.torsion
+        split = tuple(d for prev, d in zip(t, t[1:]) if d == prev)
+        return FGAbelianGroup(f - kept, split).direct_sum(q)
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         chain = list(self.torsion)

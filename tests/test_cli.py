@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -275,3 +277,61 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["ktheory"])
         assert exc.value.code == 2
+
+
+# Cohomology files for the golden report: repeated and mixed torsion factors
+# in h3, free h3 generators, and twists that do and do not involve them all.
+GOLDEN_SPECS = [
+    {"h1": (0, []), "h2": (10, [2]), "h3": (0, [2, 2, 2, 4, 12]), "alpha": [1, 1, 0, 2, 3]},
+    {"h1": (2, [3]), "h2": (4, []), "h3": (2, [2, 2, 6, 6, 6]), "alpha": [0, 0, 1, 0, 3, 2, 4]},
+    {"h1": (0, [2, 4]), "h2": (1, [5]), "h3": (1, [3, 3, 9, 9, 27]), "alpha": [0, 1, 2, 3, 0, 9]},
+    {"h1": (1, []), "h2": (0, []), "h3": (3, [4, 4, 8]), "alpha": [0, 0, 0, 0, 0, 0]},
+    {"h1": (0, []), "h2": (2, [2]), "h3": (0, [2] * 6 + [6] * 4 + [12]), "alpha": [1] * 11},
+    {"h1": (0, [6]), "h2": (3, []), "h3": (2, [5, 10, 10, 30]), "alpha": [0, 0, 4, 6, 5, 12]},
+]
+
+
+# sha256 of the concatenated reports below, recorded before the Smith form
+# was rebuilt from alternating Hermite forms.
+GOLDEN_DIGEST = "153c3c86f04a83abd260b81201db5211da664f1d8296de3de02a6bc605d7c977"
+
+
+def _golden_file(path: Path, spec: dict) -> None:
+    def group(free_rank, torsion):
+        return {"free_rank": free_rank, "torsion": torsion}
+
+    doc = {
+        "h0": group(1, []),
+        "h1": group(*spec["h1"]),
+        "h2": group(*spec["h2"]),
+        "h3": group(*spec["h3"]),
+        "h4": group(1, []),
+        "alpha": {"coords": spec["alpha"]},
+    }
+    path.write_text(json.dumps(doc))
+
+
+class TestGoldenReports:
+    def test_reports_are_unchanged(self, capsys, tmp_path, monkeypatch):
+        # One digest over the JSON reports of every command, timings removed:
+        # a change to the normal forms or the group arithmetic that moves any
+        # reported byte fails here.
+        monkeypatch.chdir(tmp_path)
+        commands = []
+        for i, spec in enumerate(GOLDEN_SPECS):
+            _golden_file(tmp_path / f"spec{i}.json", spec)
+            commands.append(["ktheory", "--input", f"spec{i}.json", "--json"])
+        commands += [["ktheory", "--enriques", twist, "--json"] for twist in ("--twisted", "--untwisted")]
+        commands += [
+            ["lattice", "info", "--name", name, "--json"]
+            for name in ("u", "e8", "minus-e8", "mukai-h2", "mukai-full")
+        ]
+        commands.append(["verify", "claims", "--trials", "300", "--seed", "7", "--json"])
+        commands.append(["verify", "phi-integrality", "--trials", "20", "--seed", "7", "--json"])
+        outputs = []
+        for argv in commands:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            outputs.append(re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', out))
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == GOLDEN_DIGEST

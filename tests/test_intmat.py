@@ -92,12 +92,35 @@ class TestHermite:
 
 
 class TestSmith:
-    def test_diag_2_3(self):
-        m = IntMatrix.diagonal([2, 3])
+    @pytest.mark.parametrize(
+        "rows, diag",
+        [
+            ([[2, 0], [0, 3]], (1, 6)),
+            ([[4, 0], [0, 6]], (2, 12)),
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+            ([[0, 1], [0, 0]], (1, 0)),
+            ([[0, 0], [0, 3]], (3, 0)),
+            ([[2, 4], [0, 6]], (2, 6)),
+        ],
+        ids=["diag_2_3", "diag_4_6", "diag_6_10_15", "nilpotent", "zero_first_row", "upper_2_4_6"],
+    )
+    def test_golden(self, rows, diag):
+        m = IntMatrix.from_rows(rows)
         s, u, v = smith_normal_form(m)
-        assert s == IntMatrix.diagonal([1, 6])
+        assert s == IntMatrix.diagonal(diag)
         assert u @ m @ v == s
         assert determinant(u) in (1, -1) and determinant(v) in (1, -1)
+
+    def test_transforms_stay_small(self):
+        # Reducing above each pivot in every Hermite pass keeps U and V to a
+        # few hundred bits; an elimination without it builds entries whose
+        # decimal form is over Python's 4300-digit limit, so repr raises.
+        rng = random.Random(2024)
+        m = IntMatrix(24, 25, [rng.randint(-9, 9) for _ in range(24 * 25)])
+        s, u, v = smith_normal_form(m)
+        assert u @ m @ v == s
+        assert abs(rational_det(u)) == 1 and abs(rational_det(v)) == 1
+        repr(u), repr(v)
 
     def test_zero(self):
         m = IntMatrix.zero(3, 2)

@@ -85,6 +85,12 @@ class TestCanonicalForm:
         assert g == FGAbelianGroup(0, (2,) * 10001)
         assert h == FGAbelianGroup(0, (6,) * 5000)
 
+    @pytest.mark.parametrize("d", range(-12, 13))
+    def test_cyclic_of_any_integer(self, d):
+        # Z/0 = Z, Z/1 = Z/-1 = 0 and Z/-d = Z/d.
+        expected = FGAbelianGroup(1) if d == 0 else FGAbelianGroup(0, (abs(d),) if abs(d) > 1 else ())
+        assert FGAbelianGroup.cyclic(d) == expected == FGAbelianGroup.from_presentation(1, [[d]])
+
     def test_times(self):
         g = FGAbelianGroup(2, (2, 4))
         assert g.times(2) == FGAbelianGroup(2, (2,))
@@ -144,6 +150,21 @@ class TestQuotient:
         q = g.quotient_by((0,) * 3001 + (2,))
         assert time.perf_counter() - started < 1.0
         assert q == FGAbelianGroup(1, (2,) * 3001)
+
+    def test_one_generator_per_factor_is_presented(self):
+        # Generators sharing a factor are rotated onto one, so the Smith form
+        # never grows with the number of generators.
+        started = time.perf_counter()
+        q = FGAbelianGroup(0, (2,) * 10**4).quotient_by((1,) * 10**4)
+        assert time.perf_counter() - started < 1.0
+        assert q == FGAbelianGroup(0, (2,) * 9999)
+
+    def test_mixed_factors_and_free_generators_are_fast(self):
+        g = FGAbelianGroup(3, (2,) * 5000 + (4,) * 5000)
+        started = time.perf_counter()
+        q = g.quotient_by((1, 2, 0) + (1,) * 10000)
+        assert time.perf_counter() - started < 1.0
+        assert q == FGAbelianGroup(2, (2,) * 5000 + (4,) * 5000)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lagrange_on_finite_groups(self, seed):
