@@ -24,7 +24,7 @@ import time
 from dataclasses import asdict
 
 from .intmat import determinant
-from .ktheory import CohomologySpec, SpecFormatError, e4_page, k1_surface
+from .ktheory import CohomologySpec, SpecFormatError, e4_page
 from .lattices import definiteness, signature, standard_lattice
 from .mukai import full_lattice
 from .verify import (
@@ -155,8 +155,8 @@ def _run_ktheory(args) -> int:
         return EXIT_USAGE
 
     page = e4_page(spec)
-    k1 = k1_surface(spec)
-    k = spec.alpha_order()
+    k1 = page.k1()
+    k = page.h0_multiplier
     k0 = page.k0_graded()
 
     doc = {

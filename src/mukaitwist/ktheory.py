@@ -327,6 +327,7 @@ class E4Page:
     columns: tuple[FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup]
 
     def k1(self) -> FGAbelianGroup:
+        """K^1 = H^1 + H^3/<alpha>, the odd columns of the stable page."""
         return self.columns[1].direct_sum(self.columns[3])
 
     def k0_graded(self) -> tuple[FGAbelianGroup, FGAbelianGroup, FGAbelianGroup]:
@@ -350,5 +351,5 @@ def e4_page(spec: CohomologySpec) -> E4Page:
 
 
 def k1_surface(spec: CohomologySpec) -> FGAbelianGroup:
-    """K^1 of a compact surface twisted by alpha: H^1 + H^3/<alpha>."""
-    return spec.h1.direct_sum(spec.h3.quotient_by(spec.alpha))
+    """K^1 of a compact surface twisted by alpha, read off the stable page."""
+    return e4_page(spec).k1()

@@ -265,43 +265,38 @@ def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[
 
 
 def signature(gram: IntMatrix) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_zero, n_minus), by exact symmetric congruence reduction."""
+    """Inertia (n_plus, n_zero, n_minus), by one exact symmetric elimination.
+
+    Each step pivots on the first nonzero diagonal entry d, counts its sign
+    and replaces the remaining rows by the Schur complement, which stays
+    symmetric. When the diagonal is all zero, adding row and column j to row
+    and column k, a unimodular congruence, makes a_kk = 2 a_kj nonzero. What
+    is left once every entry is zero is null.
+    """
     if not gram.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
-    n = gram.rows
-    a = [[Fraction(x) for x in gram.row(i)] for i in range(n)]
-    pos = zero = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((t for t in range(k + 1, n) if a[t][t] != 0), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = next((t for t in range(k + 1, n) if a[k][t] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                for t in range(n):
-                    a[k][t] += a[j][t]
-                for t in range(n):
-                    a[t][k] += a[t][j]
-        d = a[k][k]
+    a = [[Fraction(x) for x in gram.row(i)] for i in range(gram.rows)]
+    pos = neg = 0
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), (None, None))
+            if k is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        pivot = a.pop(k)
+        d = pivot.pop(k)
         if d > 0:
             pos += 1
         else:
             neg += 1
-        factors = [a[i][k] / d for i in range(k + 1, n)]
-        for i, f in zip(range(k + 1, n), factors):
+        for i, row in enumerate(a):
+            f = row.pop(k) / d
             if f:
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-        for i, f in zip(range(k + 1, n), factors):
-            if f:
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-    return pos, zero, neg
+                a[i] = [x - f * p for x, p in zip(row, pivot)]
+    return pos, gram.rows - pos - neg, neg
 
 
 def definiteness(gram: IntMatrix) -> str:

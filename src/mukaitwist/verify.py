@@ -88,8 +88,9 @@ class TrialConfig:
             raise ValueError("trials must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in [0, 2**64)")
-        if self.coord_bound < 1:
-            raise ValueError("coord_bound must be >= 1")
+        # A coordinate is one draw from the 2b + 1 values in [-b, b]; SplitMix64 has 2**64.
+        if not 1 <= self.coord_bound < 2**63:
+            raise ValueError("coord_bound must be in [1, 2**63)")
 
 
 @dataclass
@@ -420,8 +421,9 @@ def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LEN
     Also asserts the strengthening <phi(0,0,1), l + Tl> = 0 mod 4 on
     STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
     """
-    if word_length < 0:
-        raise ValueError("word length must be >= 0")
+    # Each trial draws its length from [0, word_length], at most 2**64 values.
+    if not 0 <= word_length < 2**64:
+        raise ValueError("word length must be in [0, 2**64)")
     config = asdict(cfg) | {"word_length": word_length}
     return _run_cases("phi-integrality", config, _phi_results(cfg, range(cfg.trials), word_length))
 

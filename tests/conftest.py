@@ -6,7 +6,7 @@ small determinants by cofactor expansion, so normal-form bugs cannot hide
 behind themselves.
 """
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import settings
 
@@ -75,6 +75,30 @@ def cofactor_det(m: IntMatrix) -> int:
         )
         total += (-1) ** j * m[0, j] * cofactor_det(minor)
     return total
+
+
+def descartes_signature(g: IntMatrix) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric g from det(xI - g).
+
+    The coefficient of x^(n-k) is (-1)^k times the sum of the k x k principal
+    minors. A symmetric matrix has only real eigenvalues, so by Descartes'
+    rule the sign changes of p(x) count the positive ones exactly and those of
+    p(-x) the negative ones; the power of x dividing p counts the zero ones.
+    """
+    n = g.rows
+    descending = [
+        (-1) ** k * sum(cofactor_det(IntMatrix(k, k, [g[i, j] for i in s for j in s])) for s in combinations(range(n), k))
+        for k in range(n + 1)
+    ]
+    ascending = descending[::-1]
+
+    def sign_changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    n_zero = next(p for p, c in enumerate(ascending) if c)
+    n_minus = sign_changes([(-1) ** p * c for p, c in enumerate(ascending)])
+    return sign_changes(ascending), n_zero, n_minus
 
 
 def random_matrix(rng, rows: int, cols: int, bound: int = 9) -> IntMatrix:

@@ -247,6 +247,27 @@ class TestVerifyCommand:
         assert "seed" in err
         assert out == ""
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    @pytest.mark.parametrize(
+        "suite, flag, value, field",
+        [("claims", "--coord-bound", 2**63, "coord_bound"), ("phi-integrality", "--word-length", 2**64, "word length")],
+    )
+    def test_value_past_prng_range_is_usage_error(self, capsys, trials, suite, flag, value, field):
+        code, out, err = run(capsys, "verify", suite, "--trials", trials, flag, str(value))
+        assert code == 2
+        assert field in err
+        assert out == ""
+
+    # No phi trials: a word of length near 2**64 would never finish.
+    @pytest.mark.parametrize(
+        "suite, trials, flag, value",
+        [("claims", "1", "--coord-bound", 2**63 - 1), ("phi-integrality", "0", "--word-length", 2**64 - 1)],
+    )
+    def test_largest_value_in_prng_range_is_accepted(self, capsys, suite, trials, flag, value):
+        code, _, err = run(capsys, "verify", suite, "--trials", trials, flag, str(value))
+        assert code == 0
+        assert err == ""
+
     def test_negative_word_length_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "phi-integrality", "--word-length", "-1", "--trials", "1")
         assert code == 2

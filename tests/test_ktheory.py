@@ -289,7 +289,7 @@ class TestE4Page:
             spec = CohomologySpec(h0=Z, h1=TRIVIAL, h2=Z, h3=h3, h4=Z, alpha=alpha)
             page = e4_page(spec)
             assert page.columns[3] == h3.quotient_by(alpha)
-            assert page.k1() == k1_surface(spec)
+            assert page.k1() == k1_surface(spec) == h3.quotient_by(alpha)
 
     def test_k0_graded_flags_extension(self):
         page = e4_page(ENRIQUES_TWISTED)

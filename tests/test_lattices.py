@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mukaitwist import (
     IntMatrix,
@@ -11,6 +13,7 @@ from mukaitwist import (
     determinant,
     direct_sum,
     fixed_sublattice,
+    full_lattice,
     is_isometry,
     kernel_basis,
     reflection,
@@ -18,10 +21,11 @@ from mukaitwist import (
     signature,
     smith_normal_form,
     standard_lattice,
+    twisted_involution_matrix,
 )
 from mukaitwist.lattices import cover_involution_h2
 
-from conftest import rational_det, rational_rank
+from conftest import descartes_signature, rational_det, rational_rank
 
 U = standard_lattice("u")
 E8 = standard_lattice("e8")
@@ -265,7 +269,35 @@ class TestShortVectors:
         assert len(got) > 0
 
 
+@st.composite
+def symmetric_matrices(draw, max_n=5):
+    """A symmetric n x n matrix with small entries, many zero; half have a zero diagonal."""
+    n = draw(st.integers(0, max_n))
+    zero_diagonal = draw(st.booleans())
+    entry = st.just(0) | st.integers(-3, 3)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return IntMatrix(n, n, [x for row in rows for x in row])
+
+
 class TestSignature:
+    @settings(max_examples=300)
+    @given(symmetric_matrices())
+    def test_matches_descartes_oracle(self, g):
+        assert signature(g) == descartes_signature(g)
+
+    def test_full_enriques_and_invariant_lattices(self):
+        assert signature(full_lattice().gram) == (4, 0, 20)
+        assert signature(standard_lattice("enriques_h2").gram) == (1, 0, 9)
+        _, invariant = fixed_sublattice(full_lattice(), twisted_involution_matrix(), 1)
+        assert signature(invariant) == (2, 0, 10)
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            signature(IntMatrix.from_rows([[0, 1], [0, 0]]))
+
     def test_hyperbolic(self):
         assert signature(U.gram) == (1, 0, 1)
         assert definiteness(U.gram) == "indefinite"
