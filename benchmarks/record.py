@@ -1,0 +1,220 @@
+"""Record the benchmark of one checkout as BENCH_<pr>.json, or compare two records.
+
+Run from the root of a checkout:
+
+    python3 benchmarks/record.py --pr N
+    python3 benchmarks/record.py --compare BENCH_A.json BENCH_B.json
+
+A record holds, for the checkout as it is:
+
+- each workload that BENCHMARK.json declares, run by perfbench/run.py for
+  its run_seconds 5 times with --trace 0, seeds 1..5: every end-to-end
+  metric with its 5 values, median and quartiles, plus the operations
+  attempted and failed;
+- one --trace 1 run per workload (seed 1): the per-layer metrics;
+- `verify claims` and `verify phi-integrality` at their defaults, each timed
+  as the wall time of a fresh process, 3 times;
+- the Tier-1 suite once, with --durations=0: its wall time, its outcome line
+  and every test that took at least 0.5 s as its own row;
+- the commit (and whether the tree differs from it), the machine, the core
+  count, the Python version and KERNEL_BACKEND.
+
+Every child is launched with PYTHONDONTWRITEBYTECODE removed from its
+environment, so perfbench's warm-up launch writes the bytecode and no timed
+process compiles the package from source.
+
+--compare prints one row per metric the two records share: A's median, B's,
+the ratio B / A, A's interquartile range, and a verdict. A difference smaller
+than A's interquartile range is marked noise; single-sample metrics (the
+per-layer ones and the Tier-1 wall) carry no verdict.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path.cwd()
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+RUNS = 5  # --trace 0 runs per workload, for the median and quartiles
+VERIFY_RUNS = 3
+VERIFY_COMMANDS = {"verify_claims_s": ["verify", "claims"], "verify_phi_s": ["verify", "phi-integrality"]}
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0"]
+SLOW_TEST_S = 0.5  # Tier-1 tests at least this slow get their own row
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
+def run(args: list[str], env: dict | None = None) -> tuple[subprocess.CompletedProcess, float]:
+    """One fresh child process in the checkout, and its wall time."""
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env or ENV, capture_output=True, text=True)
+    return proc, time.perf_counter() - t
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def perfbench(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    """One perfbench run: its result object and its provenance."""
+    args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc, _ = run(args + ["--trace", str(trace)])
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench {workload} seed {seed} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    provenance = json.loads(lines[-2].removeprefix("provenance: "))
+    return json.loads(lines[-1]), provenance
+
+
+def record_workload(workload: str, seconds: int) -> tuple[dict, dict]:
+    results = []
+    for seed in range(1, RUNS + 1):
+        result, provenance = perfbench(workload, seed, seconds, 0)
+        results.append(result)
+        print(f"{workload} seed {seed}: " + json.dumps({k: m["value"] for k, m in result["metrics"].items()}), flush=True)
+    end_to_end = {
+        name: {"unit": metric["unit"], **summary([r["metrics"][name]["value"] for r in results])}
+        for name, metric in results[0]["metrics"].items()
+    }
+    traced, _ = perfbench(workload, 1, seconds, 1)
+    return {
+        "end_to_end": end_to_end,
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "correct": all(r["correct"] for r in results) and traced["correct"],
+        "per_layer": {name: {"unit": m["unit"], "value": m["value"]} for name, m in traced["metrics"].items()},
+    }, provenance
+
+
+def record_verify() -> dict:
+    env = dict(ENV, PYTHONPATH=str(ROOT / "src"))
+    out = {}
+    for name, argv in VERIFY_COMMANDS.items():
+        walls = []
+        for _ in range(VERIFY_RUNS):
+            proc, wall = run(["-m", "mukaitwist", *argv], env)
+            if proc.returncode != 0:
+                raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+            walls.append(wall)
+        out[name] = {"unit": "s", **summary(walls)}
+        print(f"{name}: {walls}", flush=True)
+    return out
+
+
+def record_tier1() -> dict:
+    proc, wall = run(TIER1, dict(ENV, PYTHONPATH=str(ROOT / "src")))
+    outcome = proc.stdout.strip().splitlines()[-1]
+    slow = {}
+    for line in proc.stdout.splitlines():
+        m = re.match(r"([0-9.]+)s (call|setup|teardown)\s+(\S+)", line)
+        if m and float(m[1]) >= SLOW_TEST_S:
+            slow[f"{m[3]} ({m[2]})"] = float(m[1])
+    print(f"tier-1: {outcome}, {wall:.1f} s wall", flush=True)
+    return {"wall_s": wall, "exit_code": proc.returncode, "outcome": outcome, "slow_tests_s": slow}
+
+
+def git(*args: str) -> str:
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def record(pr: int) -> None:
+    if not (ROOT / "perfbench" / "run.py").is_file():
+        raise SystemExit("error: run from the root of a mukaitwist checkout; perfbench/run.py is missing")
+    seconds = BENCHMARK["run_seconds"]
+    workloads, provenance = {}, {}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        workloads[workload], provenance = record_workload(workload, seconds)
+    doc = {
+        "pr": pr,
+        "commit": git("rev-parse", "HEAD"),
+        "tree_differs_from_commit": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "machine": f"{platform.machine()}, {cpu_model()}",
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "kernel_backend": provenance["kernel_backend"],
+        "runs": RUNS,
+        "seconds": seconds,
+        "workloads": workloads,
+        "verify": record_verify(),
+        "tier1": record_tier1(),
+    }
+    path = ROOT / f"BENCH_{pr}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {path.name}")
+
+
+def metrics(doc: dict) -> dict[str, dict]:
+    """Every metric of a record by a flat name, as a summary (or a single value)."""
+    out = {}
+    for workload, w in doc["workloads"].items():
+        for name, m in w["end_to_end"].items():
+            out[f"{workload}.{name}"] = m
+        for name, m in w["per_layer"].items():
+            out[f"{workload}.{name}"] = {"median": m["value"]}
+    out.update(doc["verify"])
+    out["tier1.wall_s"] = {"median": doc["tier1"]["wall_s"]}
+    return out
+
+
+def compare(path_a: str, path_b: str) -> None:
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    ma, mb = metrics(a), metrics(b)
+    print(f"A = {path_a} ({a['commit'][:12]}), B = {path_b} ({b['commit'][:12]})")
+    print(f"{'metric':44} {'A median':>12} {'B median':>12} {'B/A':>7} {'A IQR':>10}  verdict")
+    for name in ma:
+        if name not in mb:
+            continue
+        xa, xb = ma[name]["median"], mb[name]["median"]
+        ratio = f"{xb / xa:7.3f}" if xa else "      -"
+        if "q1" not in ma[name]:
+            iqr, verdict = "", ""
+        else:
+            spread = ma[name]["q3"] - ma[name]["q1"]
+            iqr = f"{spread:10.4g}"
+            lower_is_better = better.get(name.split(".", 1)[-1], "lower") == "lower"
+            if abs(xb - xa) <= spread:
+                verdict = "noise"
+            else:
+                verdict = "better" if (xb < xa) == lower_is_better else "worse"
+        print(f"{name:44} {xa:12.6g} {xb:12.6g} {ratio} {iqr:>10}  {verdict}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="record or compare BENCH_<pr>.json files")
+    parser.add_argument("--pr", type=int, help="the number in the name of the record to write")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    elif args.pr is None:
+        parser.error("give --pr N to record, or --compare A B")
+    else:
+        record(args.pr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,21 @@ vector entry is a Fraction. Nothing overflows or truncates.
 (``IntMatrix.sparse_rows``): for each row, the (j, a_ij) pairs with
 a_ij != 0. The Gram matrices of the standard lattices have at most four
 nonzero entries per row (50 of 484 for mukai_h2), so a call costs a few
-products per coordinate, not a pass over every entry. ``matmul`` and
-``norm_scan`` take flat row-major sequences.
+products per coordinate, not a pass over every entry.
+
+Each form runs as one straight-line expression compiled for its matrix,
+so no loop or pair is interpreted per call. For the rows of [[-2, 1], [1, -2]]:
+
+    matvec:   lambda v: [-2*v[0] + v[1], v[0] + -2*v[1]]
+    bilinear: lambda u, v: (u[0]*(-2*v[0] + v[1]) if u[0] else 0) + (u[1]*(v[0] + -2*v[1]) if u[1] else 0)
+
+The text holds only indices and int literals. A form is compiled on its
+first call and kept on the ``SparseRows`` that ``IntMatrix`` caches, so each
+matrix compiles each form at most once, and importing the package compiles
+nothing. A zero u[i] contributes nothing, so the value and type are those of
+summing u_i (A v)_i over the nonzero u_i from the int 0. ``quadform`` is
+``bilinear(v, v)``. ``matmul`` and ``norm_scan`` take flat row-major
+sequences.
 
 ``norm_scan`` enumerates a box by meeting in the middle: it splits the
 coordinates into a head and a tail half, matches the two halves' values of
@@ -38,25 +51,20 @@ def matmul(a, b, n, k, m):
 
 def matvec(rows, v):
     """A v for the matrix A with the given sparse rows -> list, one entry per row."""
-    out = []
-    for row in rows:
-        acc = 0
-        for j, a in row:
-            acc += a * v[j]
-        out.append(acc)
-    return out
+    try:
+        form = rows.matvec
+    except AttributeError:  # a plain tuple of rows, compiled for this call only
+        form = SparseRows(rows).matvec
+    return form(v)
 
 
 def bilinear(rows, u, v):
     """u^T G v for the symmetric matrix G with the given sparse rows."""
-    total = 0
-    for ui, row in zip(u, rows):
-        if ui:
-            acc = 0
-            for j, g in row:
-                acc += g * v[j]
-            total += ui * acc
-    return total
+    try:
+        form = rows.bilinear
+    except AttributeError:  # a plain tuple of rows, compiled for this call only
+        form = SparseRows(rows).bilinear
+    return form(u, v)
 
 
 def quadform(rows, v, _bilinear=bilinear):
@@ -65,6 +73,57 @@ def quadform(rows, v, _bilinear=bilinear):
     # that rebinds the kernels' names (perfbench's tracer wraps every
     # binding) still sees one kernel call per quadform.
     return _bilinear(rows, v, v)
+
+
+class SparseRows(tuple):
+    """A matrix's sparse rows, holding its compiled matvec and bilinear forms.
+
+    Each form is generated and compiled on its first use and kept as an
+    instance attribute, so it is built once per matrix.
+    """
+
+    def __getattr__(self, name):
+        build = _SOURCES.get(name)
+        if build is None:
+            raise AttributeError(name)
+        form = self.__dict__[name] = _compile(build(self))
+        return form
+
+    def __reduce__(self):
+        # The rows alone: a copy compiles its own forms on first use.
+        return SparseRows, (tuple(self),)
+
+
+def _compile(source):
+    """The function of one generated lambda; its text holds only indices and int literals."""
+    return eval(source, {"__builtins__": {}})
+
+
+_CHUNK = 64  # terms per flat sum: the compiler recurses once per nested +
+
+
+def _sum(terms):
+    """The text of the sum of the terms' texts, as a tree of short flat sums; '0' for none."""
+    while len(terms) > _CHUNK:
+        terms = [f"({' + '.join(terms[k : k + _CHUNK])})" for k in range(0, len(terms), _CHUNK)]
+    return " + ".join(terms) or "0"
+
+
+def _dot(row):
+    """The text of sum_j a_j v[j] over one sparse row."""
+    return _sum([("" if a == 1 else "-" if a == -1 else f"{a}*") + f"v[{j}]" for j, a in row])
+
+
+def _matvec_source(rows):
+    return f"lambda v: [{', '.join(map(_dot, rows))}]"
+
+
+def _bilinear_source(rows):
+    terms = [f"(u[{i}]*({_dot(row)}) if u[{i}] else 0)" for i, row in enumerate(rows)]
+    return f"lambda u, v: {_sum(terms)}"
+
+
+_SOURCES = {"matvec": _matvec_source, "bilinear": _bilinear_source}
 
 
 def _half_box(g, n, lo, hi, xs):

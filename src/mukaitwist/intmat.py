@@ -104,17 +104,17 @@ class IntMatrix:
         return self._d
 
     @property
-    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def sparse_rows(self) -> _kernels.SparseRows:
         """For each row i, the (j, a_ij) pairs with a_ij != 0, in column order.
 
-        Built on first use and cached: most matrices (normal-form steps,
-        products) are never multiplied by a vector.
+        Built on first use and cached, with the kernels compiled from it: most
+        matrices (normal-form steps, products) are never multiplied by a vector.
         """
         try:
             return self._sparse
         except AttributeError:
             c, d = self.cols, self._d
-            self._sparse = tuple(
+            self._sparse = _kernels.SparseRows(
                 tuple((j, a) for j, a in enumerate(d[i * c : (i + 1) * c]) if a) for i in range(self.rows)
             )
             return self._sparse

@@ -13,17 +13,38 @@ Per-trial substreams are derived by index, never by sharing state:
 so trials can run in any order, or in parallel, and produce identical
 samples.
 
-mix64 and next_u64 are the reference definitions. integers is the one
-rejection loop: count uniform draws from [lo, hi], each taking the top
-bits of next_u64 until they land below hi - lo + 1, with the state in a
-local and mix64 written out. integer is integers(lo, hi, 1) and below is
-integers(0, n - 1, 1), so all three draw the same values and leave the
-same state.
+mix64 and next_u64 are the reference definitions. integers draws count
+uniform values from [lo, hi] by rejection: each candidate is the top bits
+of one next_u64, kept when it lands below hi - lo + 1. integer is
+integers(lo, hi, 1) and below is integers(0, n - 1, 1), so all three draw
+the same values and leave the same state.
+
+integers evaluates its candidates as a lane batch: m consecutive outputs
+computed at once in 128-bit lanes of one Python int, lane k holding
+state + (k + 1) GAMMA mod 2**64. The batch is exact, lane by lane, because
+no operation of mix64 carries a bit out of its lane:
+
+- every xor-shift shifts the whole int right and masks each lane back to its
+  low 64 bits, so the bits that a lane receives from the lane above are
+  dropped;
+- a 64-bit lane value times a 64-bit constant is below 2**128, so the
+  product of the whole int with the constant is the lane products side by
+  side, and masking reduces each mod 2**64.
+
+The top bits of each lane come out through to_bytes and one struct.Struct
+per lane count, cached. The first count candidates below hi - lo + 1 are
+kept and the state ends just after the last one kept, exactly where the
+one-at-a-time loop would leave it; when a batch accepts too few, the next
+batch starts where it ended. So integers(lo, hi, a + b) is
+integers(lo, hi, a) + integers(lo, hi, b), with the same final state.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+_MAX_LANES = 512  # candidates per batch
 
 
 def mix64(z: int) -> int:
@@ -63,23 +84,58 @@ class SplitMix64:
         if lo > hi:
             raise ValueError("empty range")
         n = hi - lo + 1
-        shift = 64 - (n - 1).bit_length()
-        if shift == 64:  # n == 1 takes no draw
+        bits = (n - 1).bit_length()
+        if bits > 64:
+            raise ValueError(f"range [{lo}, {hi}] holds {n} values; one draw covers at most 2**64")
+        if not bits:  # n == 1 takes no draw
             return (lo,) * count
+        shift = 64 - bits
         state = self.state
         out = []
-        append = out.append
-        for _ in range(count):
-            while True:
-                state = (state + GAMMA) & _MASK
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                r = (z ^ (z >> 31)) >> shift
+        while True:
+            need = count - len(out)
+            # The expected number of candidates, and a margin so that one
+            # batch is usually enough.
+            m = min((need << bits) // n + need // 8 + 2, _MAX_LANES)
+            ones, ramp, mask, unpack = _lanes(m)
+            z = (state * ones + ramp) & mask  # lane k: state + (k + 1) GAMMA
+            z = ((z ^ (z >> 30) & mask) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27) & mask) * 0x94D049BB133111EB) & mask
+            # The top bits of each output; what the shift brings into a lane's
+            # high half from the lane above is never unpacked.
+            draws = unpack(((z ^ (z >> 31) & mask) >> shift).to_bytes(16 * m, "little"))
+            accepted = [lo + r for r in draws if r < n]
+            surplus = len(accepted) - need
+            if surplus < 0:
+                out += accepted
+                state = (state + m * GAMMA) & _MASK
+                continue
+            # Give back the candidates after the need-th accepted one.
+            used = m
+            for r in reversed(draws):
                 if r < n:
-                    append(lo + r)
-                    break
-        self.state = state
-        return tuple(out)
+                    if not surplus:
+                        break
+                    surplus -= 1
+                used -= 1
+            out += accepted[:need]
+            self.state = (state + used * GAMMA) & _MASK
+            return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _lanes(m: int) -> tuple:
+    """The constants of a batch of m lanes, and its unpacker.
+
+    They are 1 in every lane, (k + 1) GAMMA in lane k, and 2**64 - 1 in every
+    lane. The unpacker reads the low 64 bits of each 128-bit lane from the
+    little-endian bytes of the batch.
+    """
+    import struct  # here, so that a process that draws nothing does not load it
+
+    ones = sum(1 << (128 * k) for k in range(m))
+    ramp = GAMMA * sum((k + 1) << (128 * k) for k in range(m))
+    return ones, ramp, _MASK * ones, struct.Struct("<" + "Q8x" * m).unpack
 
 
 def substream(seed: int, index: int) -> SplitMix64:

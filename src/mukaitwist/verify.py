@@ -213,13 +213,12 @@ def _characteristic_results(cfg: TrialConfig, trials):
     point = point_class()
     b = cfg.coord_bound
     for trial in trials:
-        rng = substream(cfg.seed, trial)
+        # Every draw of the trial comes from [-b, b], so one call draws them
+        # all: the values are those of one call per parameter, in order.
+        draws = substream(cfg.seed, trial).integers(-b, b, 12 + n_basis)
 
         # Sampler (i): closed-form parametrization.
-        a = rng.integer(-b, b)
-        x = rng.integers(-b, b, 8)
-        z1 = rng.integers(-b, b, 2)
-        s = rng.integer(-b, b)
+        a, x, z1, s = draws[0], draws[1:9], draws[9:11], draws[11]
         v = _invariant_from_parameters(a, x, z1, s)
         pair = mukai_pairing(point, v)
         vsq = mukai_pairing(v, v)
@@ -245,7 +244,7 @@ def _characteristic_results(cfg: TrialConfig, trials):
             continue
 
         # Sampler (ii): random combination of the computed kernel basis of T - 1.
-        coeffs = rng.integers(-b, b, n_basis)
+        coeffs = draws[12:]
         w = MukaiVector.from_coords(basis.mul_vec(coeffs))
         pair_w = mukai_pairing(point, w)
         wsq = mukai_pairing(w, w)
@@ -347,8 +346,7 @@ def _generator_pool() -> tuple[Isometry | Reflection, ...]:
 def _sample_word(seed: int, word_length: int) -> list[Isometry | Reflection]:
     """The letters of a deterministic word in the generator pool, leftmost first."""
     pool = _generator_pool()
-    rng = SplitMix64(mix64(seed))
-    return [pool[rng.below(len(pool))] for _ in range(word_length)]
+    return [pool[i] for i in SplitMix64(mix64(seed)).integers(0, len(pool) - 1, word_length)]
 
 
 def _apply_word(word: list[Isometry | Reflection], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -396,8 +394,9 @@ def _phi_results(cfg: TrialConfig, trials, word_length: int):
             }
             continue
         image_vec = MukaiVector.from_coords(image)
+        coords = rng.integers(-cfg.coord_bound, cfg.coord_bound, STRENGTHENED_PAIRINGS_PER_TRIAL * H2_RANK)
         for k in range(STRENGTHENED_PAIRINGS_PER_TRIAL):
-            ell = MukaiVector.from_h2(rng.integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK))
+            ell = MukaiVector.from_h2(coords[k * H2_RANK : (k + 1) * H2_RANK])
             doubled = ell + twisted_involution(ell)
             pairing = mukai_pairing(image_vec, doubled)
             if pairing % 4:

@@ -1,11 +1,15 @@
 """The integer kernels against their dense definitions and brute-force oracles."""
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_norm_scan
-from mukaitwist import IntMatrix, _kernels
+from mukaitwist import IntMatrix, _kernels, full_lattice, standard_lattice
 
 # Small entries, and entries next to 2^62 and 10^30, where fixed-width
 # arithmetic would overflow.
@@ -155,3 +159,120 @@ def test_dispatcher_rational_vectors_are_exact():
     rows = IntMatrix.from_rows([[2, 1], [1, 2]]).sparse_rows
     assert _kernels.quadform(rows, (half, 1)) == Fraction(7, 2)
     assert _kernels.matvec(rows, (half, half)) == [Fraction(3, 2), Fraction(3, 2)]
+
+
+# The compiled kernels against the dense definitions, in value and in type.
+# The definitions sum from the int 0 over the nonzero matrix entries and, for
+# bilinear, over the nonzero u_i, as the kernels' contract states: a zero u_i
+# contributes nothing, so an all-zero u gives the int 0.
+
+
+def dense_matvec(a, v):
+    return [sum(row[j] * v[j] for j in range(len(v)) if row[j]) for row in a]
+
+
+def dense_bilinear(g, u, v):
+    gv = dense_matvec(g, v)
+    return sum(u[i] * gv[i] for i in range(len(g)) if u[i])
+
+
+def typed(x):
+    """A value with its type, or a list of them, so that == compares both."""
+    return [typed(e) for e in x] if isinstance(x, list) else (type(x), x)
+
+
+def assert_kernels_match(a, u, v):
+    rows = sparse(a)
+    assert typed(_kernels.matvec(rows, v)) == typed(dense_matvec(a, v))
+    assert typed(_kernels.bilinear(rows, u, v)) == typed(dense_bilinear(a, u, v))
+    assert typed(_kernels.quadform(rows, v)) == typed(dense_bilinear(a, v, v))
+
+
+GRAMS = {name: standard_lattice(name).gram for name in ("u", "e8", "minus_e8", "enriques_h2", "mukai_h2")}
+GRAMS["full"] = full_lattice().gram
+
+
+@pytest.mark.parametrize("name", sorted(GRAMS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_compiled_kernels_on_every_standard_gram(name, data):
+    gram = GRAMS[name]
+    u, v = data.draw(vectors(gram.rows)), data.draw(vectors(gram.rows))
+    assert_kernels_match(gram.to_rows(), u, v)
+    assert_kernels_match(gram.to_rows(), [0] * gram.rows, v)
+
+
+HUGE = st.integers(-(2**100), 2**100)
+huge_scalars = HUGE | st.builds(Fraction, HUGE, st.integers(1, 2**40))
+
+
+@st.composite
+def huge_cases(draw):
+    """A square matrix with entries up to 2^100 in size, sparse or dense, and u, v.
+
+    u is all Fraction zeros in a share of the cases.
+    """
+    n = draw(st.integers(0, 6))
+    entry = (st.just(0) | HUGE) if draw(st.booleans()) else HUGE
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    vector = st.lists(huge_scalars, min_size=n, max_size=n)
+    return a, draw(vector | st.just([Fraction(0)] * n)), draw(vector)
+
+
+@given(huge_cases())
+@example(([[3, 0], [0, 5]], [Fraction(0), Fraction(0)], [Fraction(1, 3), 2]))
+@example(([[0, 0], [0, 2**100]], [Fraction(1, 2), 0], [1, 1]))  # a nonzero u_i on a zero row
+def test_compiled_kernels_on_huge_and_rational_entries(case):
+    assert_kernels_match(*case)
+
+
+def test_each_matrix_compiles_each_form_once(monkeypatch):
+    compiled = []
+    real = _kernels._compile
+    monkeypatch.setattr(_kernels, "_compile", lambda source: compiled.append(source) or real(source))
+    gram = IntMatrix.from_rows([[2, -1, 0], [-1, 2, 7], [0, 7, -4]])
+    for k in range(5):
+        u, v = (k, 1, -k), (3, k, 1)
+        assert gram.mul_vec(v) == tuple(dense_matvec(gram.to_rows(), v))
+        assert _kernels.bilinear(gram.sparse_rows, u, v) == dense_bilinear(gram.to_rows(), u, v)
+        assert _kernels.quadform(gram.sparse_rows, v) == dense_bilinear(gram.to_rows(), v, v)
+    assert [source.split(":")[0] for source in compiled] == ["lambda v", "lambda u, v"]
+
+
+def test_a_used_matrix_still_pickles():
+    gram = full_lattice().gram
+    v = tuple(range(24))
+    want = gram.mul_vec(v), _kernels.bilinear(gram.sparse_rows, v, v)
+    copy = pickle.loads(pickle.dumps(gram))
+    assert copy == gram
+    assert (copy.mul_vec(v), _kernels.bilinear(copy.sparse_rows, v, v)) == want
+
+
+# Loads _kernels alone, wraps its compile helper, then imports the package,
+# which reuses the loaded module; prints the compiles made by the import and
+# then by one call.
+COUNT_IMPORT_COMPILES = """
+import importlib.machinery, importlib.util, os, sys
+package = importlib.machinery.PathFinder.find_spec("mukaitwist")
+path = os.path.join(package.submodule_search_locations[0], "_kernels.py")
+spec = importlib.util.spec_from_file_location("mukaitwist._kernels", path)
+kernels = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernels)
+sys.modules["mukaitwist._kernels"] = kernels
+compiled = []
+real = kernels._compile
+kernels._compile = lambda source: compiled.append(source) or real(source)
+import mukaitwist
+import mukaitwist.cli
+assert sys.modules["mukaitwist.lattices"]._kernels is kernels
+print(len(compiled))
+mukaitwist.standard_lattice("u").inner((1, 0), (0, 1))
+print(len(compiled))
+"""
+
+
+def test_import_compiles_nothing():
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_IMPORT_COMPILES], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["0", "1"]

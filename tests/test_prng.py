@@ -64,6 +64,8 @@ SPANS = st.one_of(st.integers(0, 300), st.integers(0, 64).map(lambda k: 2**k - 1
 @example(0, 5, 0, 10)  # lo == hi: no draw
 @example(0, 0, 2**64 - 1, 5)  # the whole 64-bit output, no rejection
 @example(1, -3, 3, 0)
+@example(7, -50, 2**63, 220)  # acceptance just over 1/2: batches run short
+@example(1729, -50, 100, 220)  # one phi trial's pairing coordinates
 def test_integers_and_below_match_reference(seed, lo, span, count):
     hi = lo + span
     fast, ref = SplitMix64(seed), SplitMix64(seed)
@@ -89,9 +91,34 @@ def test_empty_range(seed, lo, gap):
     assert rng.state == SplitMix64(seed).state
 
 
+@given(
+    SEEDS,
+    st.integers(-(2**70), 2**70),
+    SPANS | st.sampled_from((2**63, 2**64 - 1)),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+@example(7, -50, 2**63, 220, 80)  # 2^63 + 1 values: acceptance just over 1/2
+@example(7, 0, 2**64 - 1, 150, 150)  # every output accepted
+def test_merged_draws_equal_consecutive_draws(seed, lo, span, a, b):
+    # The premise of drawing a whole trial in one call.
+    hi = lo + span
+    merged, split = SplitMix64(seed), SplitMix64(seed)
+    assert merged.integers(lo, hi, a + b) == split.integers(lo, hi, a) + split.integers(lo, hi, b)
+    assert merged.state == split.state
+
+
 def test_range_wider_than_one_output_is_refused():
     # 2^64 + 1 values need 65 top bits of a 64-bit output.
-    with pytest.raises(ValueError):
-        SplitMix64(0).integers(0, 2**64, 1)
-    with pytest.raises(ValueError):
-        reference_integers(SplitMix64(0), 0, 2**64, 1)
+    for hi, count in ((2**64, 1), (2**70, 3)):
+        message = rf"range \[0, {hi}\] holds {hi + 1} values; one draw covers at most 2\*\*64"
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match=message):
+            rng.integers(0, hi, count)
+        with pytest.raises(ValueError, match=message):
+            rng.integer(0, hi)
+        with pytest.raises(ValueError, match=message):
+            rng.below(hi + 1)
+        assert rng.state == 0  # no draw taken
+        with pytest.raises(ValueError):
+            reference_integers(SplitMix64(0), 0, hi, count)

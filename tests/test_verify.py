@@ -28,6 +28,7 @@ from mukaitwist import (
     verify_square_congruence,
 )
 from mukaitwist.lattices import Reflection
+from mukaitwist.prng import SplitMix64, mix64, substream
 from mukaitwist.prng import SplitMix64, mix64
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
@@ -217,6 +218,50 @@ class TestPhiFailureReporting:
         assert list(replayed) == ce["image"]
         assert ce["odd_degree2_indices"] == [i for i, c in enumerate(replayed[1:23]) if c % 2]
         assert ce["odd_degree2_indices"]
+
+
+class TestTrialDraws:
+    """Each trial draws its coordinates in one call; the values are those of
+    one call per parameter, in the order the samplers use them."""
+
+    CFG = TrialConfig(trials=3, seed=11, coord_bound=50)
+
+    def test_parametrized_sampler_draws(self, monkeypatch):
+        twist = verify.twisted_involution
+        monkeypatch.setattr(verify, "twisted_involution", lambda v: twist(v) + MukaiVector(1, (0,) * 22, 0))
+        for trial, ce in enumerate(verify._characteristic_results(self.CFG, range(3))):
+            rng = substream(self.CFG.seed, trial)
+            a, x, z1, s = rng.integer(-50, 50), rng.integers(-50, 50, 8), rng.integers(-50, 50, 2), rng.integer(-50, 50)
+            assert ce["parameters"] == {"a": a, "x": list(x), "z1": list(z1), "s": s}
+
+    def test_kernel_basis_sampler_draws(self, monkeypatch):
+        # A basis of 12 unit vectors: sampler (i) passes, and the combinations
+        # it gives sampler (ii) are not T-invariant.
+        units = IntMatrix(24, 12, [int(i == j) for i in range(24) for j in range(12)])
+        monkeypatch.setattr(verify, "_invariant_basis", lambda: (units, None))
+        for trial, ce in enumerate(verify._characteristic_results(self.CFG, range(3))):
+            rng = substream(self.CFG.seed, trial)
+            rng.integers(-50, 50, 12)  # a, x, z1 and s
+            assert ce["source"] == f"kernel-basis sampler, trial {trial}"
+            assert ce["coefficients"] == list(rng.integers(-50, 50, 12))
+
+    def test_phi_pairing_draws(self, monkeypatch):
+        calls = []
+        pairing = verify.mukai_pairing
+        # The last pairing of trial 0 is off by one.
+        monkeypatch.setattr(verify, "mukai_pairing", lambda u, v: pairing(u, v) + (len(calls.append(0) or calls) == 10))
+        (ce,) = verify._phi_results(self.CFG, [0], 4)
+        rng = substream(self.CFG.seed, 0)
+        length, word_seed = rng.below(5), rng.next_u64()
+        ells = [rng.integers(-50, 50, 22) for _ in range(verify.STRENGTHENED_PAIRINGS_PER_TRIAL)]
+        assert ce["source"] == "trial 0, pairing 9"
+        assert (ce["word_length"], ce["word_seed"], ce["ell"]) == (length, word_seed, list(ells[9]))
+
+    def test_word_draws(self):
+        pool = verify._generator_pool()
+        for seed in range(5):
+            rng = SplitMix64(mix64(seed))
+            assert verify._sample_word(seed, 9) == [pool[rng.below(len(pool))] for _ in range(9)]
 
 
 class TestCongruenceTransport:
