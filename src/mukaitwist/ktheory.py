@@ -83,7 +83,10 @@ class FGAbelianGroup:
 
     @classmethod
     def cyclic(cls, d: int) -> "FGAbelianGroup":
-        return cls.from_presentation(1, [[d]])
+        """Z/d for any integer d: Z for 0, trivial for +-1, Z/|d| otherwise."""
+        if d == 0:
+            return cls(1)
+        return cls(0, (abs(d),) if abs(d) > 1 else ())
 
     @classmethod
     def from_presentation(cls, n_generators: int, relations: Sequence[Sequence[int]]) -> "FGAbelianGroup":

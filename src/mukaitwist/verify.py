@@ -6,11 +6,33 @@ see mukaitwist.prng), so reports are reproducible byte for byte apart from
 elapsed time. Trials share no mutable state and may be evaluated in any
 order; a report is the conjunction of its trials.
 
-Each check is a stream of cases, one result per case: None, or that case's
-counterexample. A sampled check's stream is _<check>_results(cfg, trials),
-one case per trial index in the order given. One driver, _run_cases, runs
-every check: it evaluates the cases in order, the first counterexample
-stops the run, and trials_run counts the cases evaluated, that one included.
+Each check is a numbered set of cases, one result per case: None, or that
+case's counterexample. A sampled check's cases are
+_<check>_results(cfg, indices), which yields one result per index in the
+order given; the square check numbers its random trials first and the
+cases of its exhaustive sweep after them. One function, _run_cases, runs
+every check, on one process or several (the `jobs` keyword, 1 by
+default; it is an execution option, so it is in no config and no report):
+
+* dealing -- with w = min(jobs, count) workers, worker k evaluates indices
+  k, k + w, k + 2w, ... in order and stops at its first counterexample.
+  Round-robin dealing keeps the shares even where cheap sweep cases follow
+  dearer trials. The parent is worker 0 and forks the other w - 1 with
+  os.fork, after it has evaluated index 0: that first case builds every
+  cache the cases read (the kernel basis of T - 1, the generator pool, the
+  compiled Gram forms), so no worker builds it again, and if it fails no
+  worker is forked. No worker sees another's failure, so a failure at a
+  later index still waits for every other worker's whole share. A forked
+  child holds only the forking thread, so pass jobs > 1 only from a
+  process that runs no other threads (the CLI runs none).
+* merge -- each worker sends its first (index, counterexample), or None,
+  through a pipe (marshal) and leaves by os._exit. The parent keeps the
+  lowest failing index, and trials_run is that index + 1, or the case
+  count when every case passes. Below that index every case passed, in
+  some worker, so the report is the serial one whatever w is.
+* failure -- a worker that raises makes the call raise, naming the
+  worker's exception and traceback. Every worker is reaped on every path;
+  if the parent raises, its workers are killed first.
 
 A falsified congruence is data, not an exception: the report carries the
 first counterexample, with enough coordinates to re-evaluate the failed
@@ -34,10 +56,12 @@ Checks:
 """
 from __future__ import annotations
 
+import marshal
+import os
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations, product
+from functools import lru_cache, partial
+from itertools import chain, combinations, islice
 
 from .intmat import IntMatrix, determinant, solve
 from .lattices import (
@@ -120,18 +144,88 @@ class VerificationReport:
         return out
 
 
-def _run_cases(name: str, config: dict, results) -> VerificationReport:
-    """Evaluate results in order up to and including the first counterexample."""
+def _first_failure(results, indices) -> tuple[int, dict] | None:
+    """The first (index, counterexample) of results, one per index, or None."""
+    return next(((index, ce) for ce, index in zip(results, indices) if ce is not None), None)
+
+
+def _fork_worker(cases, indices: range) -> tuple[int, int]:
+    """Fork a worker over indices; return its pid and the read end of its pipe.
+
+    The worker sends (True, first failure) or, if it raised, (False, the
+    exception's type name, its traceback) and exits without running any
+    inherited clean-up or flushing any inherited buffer.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        os.close(read_fd)
+        try:
+            payload = marshal.dumps((True, _first_failure(cases(indices), indices)))
+        except BaseException as exc:
+            import traceback  # loaded by a worker that failed, never by the parent
+
+            payload = marshal.dumps((False, type(exc).__name__, traceback.format_exc()))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _receive(read_fd: int, worker: int) -> tuple[int, dict] | None:
+    """A worker's first failure, read to the end of its pipe."""
+    with open(read_fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if not data:
+        raise RuntimeError(f"verify worker {worker} exited without a result")
+    ok, *result = marshal.loads(data)
+    if not ok:
+        name, trace = result
+        raise RuntimeError(f"verify worker {worker} raised {name}:\n{trace}")
+    return result[0]
+
+
+def _run_cases(name: str, config: dict, cases, count: int, jobs: int = 1) -> VerificationReport:
+    """Run cases 0..count-1 on min(jobs, count) workers; report the lowest failing index."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
-    trials_run = 0
-    counterexample = None
-    for counterexample in results:
-        trials_run += 1
-        if counterexample is not None:
-            break
+    workers = max(1, min(jobs, count))
+    own = range(0, count, workers)
+    results = cases(own)
+    # Index 0 runs before any fork and builds the caches the cases share.
+    # With no cases this still runs the check's set-up, as a serial run does.
+    head = list(islice(results, 1))
+    # A counterexample at index 0 is the lowest there can be: fork no worker.
+    forked = range(1, workers) if head == [None] else ()
+    children: list[tuple[int, int]] = []
+    try:
+        for k in forked:
+            children.append(_fork_worker(cases, range(k, count, workers)))
+        failures = [_first_failure(chain(head, results), own)]
+        failures += [_receive(read_fd, k) for k, (_, read_fd) in enumerate(children, 1)]
+    except BaseException:
+        import signal  # loaded only on this path
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    index, counterexample = min((f for f in failures if f is not None), default=(count - 1, None), key=lambda f: f[0])
     return VerificationReport(
         check_name=name,
-        trials_run=trials_run,
+        trials_run=index + 1,
         passed=counterexample is None,
         counterexample=counterexample,
         config=config,
@@ -167,31 +261,41 @@ def _square_congruence_case(ell: tuple[int, ...]) -> dict | None:
     }
 
 
-def _square_results(cfg: TrialConfig, trials):
-    for trial in trials:
-        ell = substream(cfg.seed, trial).integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK)
+# The exhaustive sweep: every class supported on at most two coordinates
+# (i, j), i < j, with entries in [-2, 2]; case k is pair k // 25, values k % 25.
+_SWEEP_PAIRS = tuple(combinations(range(H2_RANK), 2))
+_SWEEP_VALUES = range(-EXHAUSTIVE_ENTRY_BOUND, EXHAUSTIVE_ENTRY_BOUND + 1)
+SWEEP_CASES = len(_SWEEP_PAIRS) * len(_SWEEP_VALUES) ** 2
+
+
+def _sweep_class(k: int) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """Case k of the sweep: its class and its pair of coordinates."""
+    pair, values = divmod(k, len(_SWEEP_VALUES) ** 2)
+    i, j = _SWEEP_PAIRS[pair]
+    vi, vj = divmod(values, len(_SWEEP_VALUES))
+    ell = [0] * H2_RANK
+    ell[i], ell[j] = _SWEEP_VALUES[vi], _SWEEP_VALUES[vj]
+    return tuple(ell), (i, j)
+
+
+def _square_results(cfg: TrialConfig, indices):
+    """Index i < trials is random trial i; index trials + k is sweep case k."""
+    for index in indices:
+        if index < cfg.trials:
+            ell = substream(cfg.seed, index).integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK)
+            source = f"random trial {index}"
+        else:
+            ell, (i, j) = _sweep_class(index - cfg.trials)
+            source = f"exhaustive pair ({i}, {j})"
         counterexample = _square_congruence_case(ell)
         if counterexample is not None:
-            counterexample["source"] = f"random trial {trial}"
+            counterexample["source"] = source
         yield counterexample
 
 
-def _square_sweep():
-    """Exhaustive over all classes supported on at most two coordinates."""
-    values = range(-EXHAUSTIVE_ENTRY_BOUND, EXHAUSTIVE_ENTRY_BOUND + 1)
-    for (i, j), (vi, vj) in product(combinations(range(H2_RANK), 2), product(values, repeat=2)):
-        ell = [0] * H2_RANK
-        ell[i], ell[j] = vi, vj
-        counterexample = _square_congruence_case(tuple(ell))
-        if counterexample is not None:
-            counterexample["source"] = f"exhaustive pair ({i}, {j})"
-        yield counterexample
-
-
-def verify_square_congruence(cfg: TrialConfig) -> VerificationReport:
+def verify_square_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """(l + Tl)^2 = 0 mod 4 on random degree-2 classes plus a low-support sweep."""
-    results = chain(_square_results(cfg, range(cfg.trials)), _square_sweep())
-    return _run_cases("square-congruence", asdict(cfg), results)
+    return _run_cases("square-congruence", asdict(cfg), partial(_square_results, cfg), cfg.trials + SWEEP_CASES, jobs)
 
 
 @lru_cache(maxsize=None)
@@ -266,10 +370,9 @@ def _characteristic_results(cfg: TrialConfig, trials):
         yield None
 
 
-def verify_characteristic_congruence(cfg: TrialConfig) -> VerificationReport:
+def verify_characteristic_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """<(0,0,1), v> = v^2 mod 4 on T-invariant v from two independent samplers."""
-    results = _characteristic_results(cfg, range(cfg.trials))
-    return _run_cases("characteristic-congruence", asdict(cfg), results)
+    return _run_cases("characteristic-congruence", asdict(cfg), partial(_characteristic_results, cfg), cfg.trials, jobs)
 
 
 def _invariant_lattice_results():
@@ -308,7 +411,8 @@ def verify_invariant_lattice() -> VerificationReport:
     (det +-1); half form odd (an odd diagonal entry); (0,0,1) lies in the
     invariant lattice and is characteristic for the half form.
     """
-    return _run_cases("invariant-lattice", {}, _invariant_lattice_results())
+    # Six steps, in order and in the parent: each step reads the ones before it.
+    return _run_cases("invariant-lattice", {}, lambda steps: _invariant_lattice_results(), 6)
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +518,9 @@ def _phi_results(cfg: TrialConfig, trials, word_length: int):
             yield None
 
 
-def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LENGTH) -> VerificationReport:
+def verify_phi_integrality(
+    cfg: TrialConfig, word_length: int = DEFAULT_WORD_LENGTH, jobs: int = 1
+) -> VerificationReport:
     """Images phi(0,0,1) under sampled equivariant words have even degree-2 part.
 
     Also asserts the strengthening <phi(0,0,1), l + Tl> = 0 mod 4 on
@@ -424,13 +530,14 @@ def verify_phi_integrality(cfg: TrialConfig, word_length: int = DEFAULT_WORD_LEN
     if not 0 <= word_length < 2**64:
         raise ValueError("word length must be in [0, 2**64)")
     config = asdict(cfg) | {"word_length": word_length}
-    return _run_cases("phi-integrality", config, _phi_results(cfg, range(cfg.trials), word_length))
+    cases = partial(_phi_results, cfg, word_length=word_length)
+    return _run_cases("phi-integrality", config, cases, cfg.trials, jobs)
 
 
-def run_claims_suite(cfg: TrialConfig) -> list[VerificationReport]:
+def run_claims_suite(cfg: TrialConfig, jobs: int = 1) -> list[VerificationReport]:
     """The three structural checks behind the integrality argument."""
     return [
-        verify_square_congruence(cfg),
-        verify_characteristic_congruence(cfg),
+        verify_square_congruence(cfg, jobs=jobs),
+        verify_characteristic_congruence(cfg, jobs=jobs),
         verify_invariant_lattice(),
     ]

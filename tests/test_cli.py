@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -213,8 +216,8 @@ class TestVerifyCommand:
             config={},
             elapsed_s=0.0,
         )
-        monkeypatch.setattr(verify, "run_claims_suite", lambda cfg: [fake])
-        monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg: [fake])
+        monkeypatch.setattr(verify, "run_claims_suite", lambda cfg, jobs: [fake])
+        monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg, jobs: [fake])
         code, out, _ = run(capsys, "verify", "claims", "--trials", "1")
         assert code == 1
         assert "FAILED" in out
@@ -229,7 +232,7 @@ class TestVerifyCommand:
             config={},
             elapsed_s=0.0,
         )
-        monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg: [fake])
+        monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg, jobs: [fake])
         code, doc, _ = run_json(capsys, "verify", "claims", "--trials", "1", "--json")
         assert code == 1
         assert doc["checks"][0]["counterexample"] == {"ell": [0] * 22}
@@ -281,6 +284,65 @@ class TestVerifyCommand:
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["invariant-lattice"]
         assert "not in the computed invariant lattice" in failed[0]["counterexample"]["reason"]
+
+
+class TestJobsFlag:
+    @pytest.mark.parametrize("suite", ["claims", "phi-integrality"])
+    def test_report_does_not_depend_on_jobs(self, capsys, monkeypatch, suite):
+        # Two usable CPUs, whatever the host has, so "--jobs 2" passes validation.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["verify", suite, "--trials", "300" if suite == "claims" else "20", "--seed", "7", "--json"]
+        outs = [run(capsys, *argv, "--jobs", jobs)[1] for jobs in ("1", "2")]
+        assert "jobs" not in outs[0]
+        assert len({re.sub(r'"elapsed_ms": [0-9.]+', "", out) for out in outs}) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("suite", ["claims", "phi-integrality"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "3"])
+    def test_out_of_range_is_usage_error(self, capsys, monkeypatch, suite, jobs):
+        # Two usable CPUs, whatever the host has: "3" is rejected by validation alone.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, err = run(capsys, "verify", suite, "--trials", "1", "--jobs", jobs)
+        assert code == 2
+        assert "--jobs" in err and "[1, 2]" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cpus, default", [(1, 1), (2, 2), (3, 2), (64, 2)])
+    def test_default_is_the_usable_cores_capped(self, capsys, monkeypatch, cpus, default):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        seen = []
+        fake = VerificationReport("phi-integrality", 1, True, None, {}, 0.0)
+        monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg, jobs: seen.append(jobs) or [])
+        monkeypatch.setattr("mukaitwist.cli.verify_phi_integrality", lambda cfg, word_length, jobs: seen.append(jobs) or fake)
+        assert main(["verify", "claims", "--trials", "1"]) == 0
+        assert main(["verify", "phi-integrality", "--trials", "1"]) == 0
+        assert seen == [default, default]
+
+    def test_default_without_sched_getaffinity_is_one(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        seen = []
+        monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg, jobs: seen.append(jobs) or [])
+        assert main(["verify", "claims", "--trials", "1"]) == 0
+        assert seen == [1]
+        code, _, err = run(capsys, "verify", "claims", "--trials", "1", "--jobs", "2")
+        assert code == 2 and "--jobs" in err
+
+
+# Modules the parallel runner must not load at `import mukaitwist.cli`:
+# process pools and thread machinery, and the modules it imports only on a
+# failure path.
+RUNNER_ONLY_MODULES = ("multiprocessing", "concurrent.futures", "threading", "signal", "traceback")
+
+
+def test_cli_import_loads_no_runner_module():
+    code = "import sys, mukaitwist.cli; print(' '.join(sys.modules))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "mukaitwist.cli" in loaded
+    assert not loaded.intersection(RUNNER_ONLY_MODULES)
 
 
 class TestArgparseBehavior:

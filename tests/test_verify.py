@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -66,6 +68,13 @@ class TestCharacteristicCongruence:
         report = verify_characteristic_congruence(CFG)
         assert report.passed
         assert report.trials_run == CFG.trials
+
+    def test_zero_trials_still_builds_the_kernel_basis(self):
+        # A run with no cases still runs the check's set-up, so a caller can
+        # build the cache before timing anything.
+        verify._invariant_basis.cache_clear()
+        assert verify_characteristic_congruence(TrialConfig(trials=0)).trials_run == 0
+        assert verify._invariant_basis.cache_info().currsize == 1
 
     def test_golden_example(self):
         # a=1, x=0, z1=0, s=0: square 2, pairing -2, congruent mod 4
@@ -499,3 +508,111 @@ class TestOrderIndependence:
                 elapsed_s=0.0,
             )
             assert json.dumps(merged.summary()) == json.dumps(serial.summary())
+
+
+def _fail_trial(monkeypatch, k: int, error: type[BaseException] | None = None) -> None:
+    """Every pairing in trial k is off by one, or, given an error, drawing trial k raises it."""
+    trial = [None]
+    draw, pairing = verify.substream, verify.mukai_pairing
+
+    def spy(seed, index):
+        if index == k and error is not None:
+            raise error(f"trial {k}")
+        trial[0] = index
+        return draw(seed, index)
+
+    monkeypatch.setattr(verify, "substream", spy)
+    monkeypatch.setattr(verify, "mukai_pairing", lambda u, v: pairing(u, v) + (trial[0] == k))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+PARALLEL_CHECKS = {
+    "square": verify_square_congruence,
+    "characteristic": verify_characteristic_congruence,
+    "phi": lambda cfg, jobs: verify_phi_integrality(cfg, word_length=4, jobs=jobs),
+}
+
+
+@pytest.mark.parametrize("check", PARALLEL_CHECKS)
+class TestParallelRuns:
+    """Cases dealt round-robin to forked workers and merged at the lowest
+    failing index give the serial report, and no worker outlives the call."""
+
+    @staticmethod
+    def summaries(check: str, cfg: TrialConfig = ORDER_CFG) -> list[dict]:
+        run = PARALLEL_CHECKS[check]
+        out = [run(cfg, jobs=jobs).summary() for jobs in (1, 2, 3)]
+        _no_child_left()
+        return out
+
+    def test_passing_run(self, check):
+        serial, *parallel = self.summaries(check)
+        assert serial["passed"]
+        assert parallel == [serial, serial]
+
+    @pytest.mark.parametrize("k", [0, 23, 39])
+    def test_one_failing_trial(self, monkeypatch, check, k):
+        _fail_trial(monkeypatch, k)
+        serial, *parallel = self.summaries(check)
+        assert serial["trials_run"] == k + 1
+        assert parallel == [serial, serial]
+
+    def test_failures_in_every_share(self, monkeypatch, check):
+        ORDER_CASES[check][2](monkeypatch)
+        serial, *parallel = self.summaries(check)
+        assert not serial["passed"]
+        assert parallel == [serial, serial]
+
+    def test_failure_at_index_zero_forks_no_worker(self, monkeypatch, check):
+        _fail_trial(monkeypatch, 0)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked after index 0 failed"))
+        report = PARALLEL_CHECKS[check](ORDER_CFG, jobs=2)
+        assert report.trials_run == 1 and not report.passed
+
+    def test_worker_that_raises_makes_the_call_raise(self, monkeypatch, check):
+        _fail_trial(monkeypatch, 1, ZeroDivisionError)  # index 1 is the forked worker's at jobs=2
+        with pytest.raises(RuntimeError, match="worker 1 raised ZeroDivisionError") as raised:
+            PARALLEL_CHECKS[check](ORDER_CFG, jobs=2)
+        assert "Traceback" in str(raised.value) and "trial 1" in str(raised.value)
+        _no_child_left()
+
+    def test_parent_that_raises_reaps_its_workers(self, monkeypatch, check):
+        _fail_trial(monkeypatch, 2, ZeroDivisionError)  # index 2 is the parent's at jobs=2
+        with pytest.raises(ZeroDivisionError, match="trial 2"):
+            PARALLEL_CHECKS[check](ORDER_CFG, jobs=2)
+        _no_child_left()
+
+    def test_jobs_below_one_rejected(self, check):
+        with pytest.raises(ValueError, match="jobs"):
+            PARALLEL_CHECKS[check](ORDER_CFG, jobs=0)
+
+
+class TestSquareSweepIndices:
+    def test_sweep_cases_in_product_order(self):
+        values = range(-2, 3)
+        expected = list(product(combinations(range(22), 2), product(values, repeat=2)))
+        got = []
+        for k in range(verify.SWEEP_CASES):
+            ell, (i, j) = verify._sweep_class(k)
+            assert all(c == 0 for n, c in enumerate(ell) if n not in (i, j))
+            got.append(((i, j), (ell[i], ell[j])))
+        assert got == expected
+
+    def test_failure_in_the_sweep_merges_to_the_serial_report(self, monkeypatch):
+        # tau is the identity on classes supported on coordinates 5 and 9
+        # alone, which no random trial draws.
+        tau = verify.cover_involution_h2()
+        pair = {5, 9}
+        monkeypatch.setattr(
+            verify,
+            "cover_involution_h2",
+            lambda: lambda ell: ell if {n for n, c in enumerate(ell) if c} == pair else tau(ell),
+        )
+        serial, *parallel = TestParallelRuns.summaries("square")
+        assert serial["counterexample"]["source"] == "exhaustive pair (5, 9)"
+        assert serial["trials_run"] > ORDER_CFG.trials
+        assert parallel == [serial, serial]
