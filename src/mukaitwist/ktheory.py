@@ -109,9 +109,6 @@ class FGAbelianGroup:
     def n_generators(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def torsion_order(self) -> int:
         """Order of the torsion subgroup."""
         n = 1

@@ -48,12 +48,12 @@ class Lattice:
         if not len(u) == len(v) == self.rank:
             self._check_length(u)
             self._check_length(v)
-        return _kernels.bilinear(self.gram.sparse_rows, tuple(u), tuple(v))
+        return _kernels.bilinear(self.gram.sparse_rows, u, v)
 
     def norm(self, v: Sequence):
         """The square v . v."""
         self._check_length(v)
-        return _kernels.quadform(self.gram.sparse_rows, tuple(v))
+        return _kernels.quadform(self.gram.sparse_rows, v)
 
     def is_even(self) -> bool:
         """True when every diagonal Gram entry is even (so all squares are)."""

@@ -1,7 +1,9 @@
 """The full Mukai lattice H0 + H2 + H4 of a K3 cover, with twists.
 
-Vectors are triples (r, c, s): r in H0, c a 22-tuple in the mukai_h2 basis,
-s in H4. The pairing is
+A Mukai vector is one 24-tuple (r, c_1..c_22, s): r in H0, c a 22-tuple in
+the mukai_h2 basis, s in H4; r, c and s are views of it. The pairing is the
+full lattice's Gram: mukai_h2's Gram in the middle, -1 at (0, 23) and
+(23, 0), that is
 
     <(r, c, s), (r', c', s')> = c . c' - r s' - r' s,
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Sequence, Union
 
 from .intmat import IntMatrix
@@ -46,27 +48,16 @@ def _norm_scalar(x) -> Scalar:
 
 
 class MukaiVector:
-    """An element (r, c, s) of the (rational) Mukai lattice."""
+    """An element (r, c, s) of the (rational) Mukai lattice, held as its 24 coordinates."""
 
-    __slots__ = ("r", "c", "s")
+    __slots__ = ("_coords",)
 
     def __init__(self, r: Scalar, c: Sequence[Scalar], s: Scalar):
-        c = tuple(c)
+        coords = (r, *c, s)
+        if len(coords) != FULL_RANK:
+            raise ValueError(f"degree-2 part must have {H2_RANK} coordinates, got {len(coords) - 2}")
         # Exact ints (not bool) are already normal; only other entries need _norm_scalar.
-        exact = type(r) is int and type(s) is int and set(map(type, c)) <= _INT_ONLY
-        if not exact:
-            c = tuple(map(_norm_scalar, c))
-        if len(c) != H2_RANK:
-            raise ValueError(f"degree-2 part must have {H2_RANK} coordinates, got {len(c)}")
-        if not exact:
-            r, s = _norm_scalar(r), _norm_scalar(s)
-        self.r = r
-        self.c = c
-        self.s = s
-
-    @classmethod
-    def zero(cls) -> "MukaiVector":
-        return cls(0, (0,) * H2_RANK, 0)
+        self._coords = coords if _INT_ONLY.issuperset(map(type, coords)) else tuple(map(_norm_scalar, coords))
 
     @classmethod
     def from_h2(cls, c: Sequence[Scalar]) -> "MukaiVector":
@@ -77,40 +68,48 @@ class MukaiVector:
     def from_coords(cls, coords: Sequence[Scalar]) -> "MukaiVector":
         if len(coords) != FULL_RANK:
             raise ValueError(f"expected {FULL_RANK} coordinates, got {len(coords)}")
-        return cls(coords[0], coords[1:23], coords[23])
+        return _vector(tuple(coords))
 
     def coords(self) -> tuple[Scalar, ...]:
-        return (self.r, *self.c, self.s)
+        return self._coords
+
+    # Read-only views of the one tuple.
+    r = property(lambda self: self._coords[0])
+    c = property(lambda self: self._coords[1:23])
+    s = property(lambda self: self._coords[23])
 
     def is_integral(self) -> bool:
-        return (
-            isinstance(self.r, int)
-            and isinstance(self.s, int)
-            and all(isinstance(x, int) for x in self.c)
-        )
+        return _INT_ONLY.issuperset(map(type, self._coords))
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r + other.r, tuple(map(add, self.c, other.c)), self.s + other.s)
+        return _vector(tuple(map(add, self._coords, other._coords)))
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, tuple(map(sub, self.c, other.c)), self.s - other.s)
+        return _vector(tuple(map(sub, self._coords, other._coords)))
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, tuple(-x for x in self.c), -self.s)
+        return _vector(tuple(map(neg, self._coords)))
 
     def scale(self, k: Scalar) -> "MukaiVector":
-        return MukaiVector(k * self.r, tuple(k * x for x in self.c), k * self.s)
+        return _vector(tuple(k * x for x in self._coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MukaiVector):
             return NotImplemented
-        return self.r == other.r and self.s == other.s and self.c == other.c
+        return self._coords == other._coords
 
     def __hash__(self) -> int:
         return hash((self.r, self.c, self.s))
 
     def __repr__(self) -> str:
         return f"MukaiVector(r={self.r}, c={self.c}, s={self.s})"
+
+
+def _vector(coords: tuple) -> MukaiVector:
+    """The vector with these 24 coordinates, normalised as in MukaiVector(); callers pass 24."""
+    v = object.__new__(MukaiVector)
+    v._coords = coords if _INT_ONLY.issuperset(map(type, coords)) else tuple(map(_norm_scalar, coords))
+    return v
 
 
 def point_class() -> MukaiVector:
@@ -157,27 +156,25 @@ def canonical_b_field() -> BField:
 
 
 def mukai_pairing(u: MukaiVector, v: MukaiVector) -> Scalar:
-    """<(r,c,s), (r',c',s')> = c.c' - r s' - r' s."""
-    cc = standard_lattice("mukai_h2").inner(u.c, v.c)
-    return cc - u.r * v.s - v.r * u.s
+    """<(r,c,s), (r',c',s')> = c.c' - r s' - r' s, read off the Gram of full_lattice()."""
+    return full_lattice().inner(u.coords(), v.coords())
 
 
 def cover_involution(v: MukaiVector) -> MukaiVector:
     """Extend the K3 cover involution by the identity on H0 and H4."""
-    return MukaiVector(v.r, cover_involution_coords(v.c), v.s)
+    x = v.coords()
+    return _vector((x[0], *cover_involution_coords(x[1:23]), x[23]))
 
 
 def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
     """The unipotent shear e^b: (r, c, s) -> (r, c + r b, s + c.b + r b^2 / 2)."""
     if not isinstance(b, BField):
         b = BField(b)
-    cb = standard_lattice("mukai_h2").inner(v.c, b.coords)
-    half_sq = Fraction(b.square(), 2)
-    return MukaiVector(
-        v.r,
-        tuple(x + v.r * y for x, y in zip(v.c, b.coords)),
-        v.s + cb + v.r * half_sq,
-    )
+    x = v.coords()
+    r, c = x[0], x[1:23]
+    cb = standard_lattice("mukai_h2").inner(c, b.coords)
+    half_sq = _norm_scalar(Fraction(b.square(), 2))
+    return _vector((r, *(ci + r * bi for ci, bi in zip(c, b.coords)), x[23] + cb + r * half_sq))
 
 
 def twisted_involution(v: MukaiVector) -> MukaiVector:
@@ -192,20 +189,18 @@ def twisted_involution(v: MukaiVector) -> MukaiVector:
     shifted by r - a - b. The composition route exp_b(2 b0, cover_involution(v))
     is kept as an independent oracle in the test suite.
     """
-    r = v.r
-    a, b = v.c[20], v.c[21]
-    c = cover_involution_coords(v.c)[:20] + (r - a, r - b)
-    return MukaiVector(r, c, v.s - a - b + r)
+    x = v.coords()
+    r, a, b = x[0], x[21], x[22]
+    tau_c = cover_involution_coords(x[1:23])[:20]
+    return _vector((r, *tau_c, r - a, r - b, x[23] - a - b + r))
 
 
 @lru_cache(maxsize=None)
 def full_lattice() -> Lattice:
     """The rank-24 integral Mukai lattice in coordinates (r, c_1..c_22, s)."""
-    basis = [
-        MukaiVector.from_coords(tuple(1 if i == j else 0 for j in range(FULL_RANK)))
-        for i in range(FULL_RANK)
-    ]
-    rows = [[mukai_pairing(basis[i], basis[j]) for j in range(FULL_RANK)] for i in range(FULL_RANK)]
+    h2 = standard_lattice("mukai_h2").gram
+    rows = [[0] * FULL_RANK, *([0, *h2.row(i), 0] for i in range(H2_RANK)), [0] * FULL_RANK]
+    rows[0][23] = rows[23][0] = -1
     return Lattice(IntMatrix.from_rows(rows), "mukai_full")
 
 

@@ -245,6 +245,13 @@ class TestFullLattice:
             b = tuple(rng.randint(-9, 9) for _ in range(22))
             assert h2.inner(a, b) == mukai_pairing(MukaiVector.from_h2(a), MukaiVector.from_h2(b))
 
+    def test_gram_is_the_mukai_formula(self):
+        # The pairing c.c' - r s' - r' s, written out on the unit vectors.
+        h2 = standard_lattice("mukai_h2")
+        units = [MukaiVector.from_coords(tuple(1 if j == i else 0 for j in range(24))) for i in range(24)]
+        expected = [[h2.inner(u.c, v.c) - u.r * v.s - v.r * u.s for v in units] for u in units]
+        assert full_lattice().gram.to_rows() == expected
+
 
 def _rational_twist_conjugate(phi: IntMatrix, v: MukaiVector) -> MukaiVector:
     """exp(-b0) . phi . exp(b0) applied to v, exactly."""
@@ -354,3 +361,46 @@ class TestMukaiVector:
         assert (u + v) - v == u
         assert -(-u) == u
         assert u.scale(3).r == 3 * u.r
+
+    def test_integral_results_of_fractions_are_ints(self):
+        rng = random.Random(16)
+        for _ in range(50):
+            u = random_rational(rng, 9)
+            v = MukaiVector.from_coords(tuple(rng.randint(-9, 9) - x for x in u.coords()))
+            w = MukaiVector.from_coords(tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(24)))
+            for out in (u + v, u - (-v), w.scale(3), w.scale(Fraction(6, 2)), -w.scale(3)):
+                assert out.is_integral()
+                assert all(type(x) is int for x in out.coords())
+
+    def test_exp_b_of_integral_b_field_is_all_int(self):
+        rng = random.Random(17)
+        two_b = canonical_b_field().times(2)
+        for _ in range(200):
+            out = exp_b(two_b, random_integral(rng, 30))
+            assert all(type(x) is int for x in out.coords())
+        # A shear by a rational B-field lands back on an integral vector as ints.
+        b = canonical_b_field()
+        v = random_integral(rng, 30)
+        assert all(type(x) is int for x in exp_b(-b, exp_b(b, v)).coords())
+
+    def test_one_tuple_is_the_vector(self):
+        rng = random.Random(18)
+        v = random_integral(rng, 9)
+        assert MukaiVector.__slots__ == ("_coords",)
+        assert v.coords() is v.coords()
+        assert v.coords() == (v.r, *v.c, v.s)
+        assert MukaiVector.from_coords(v.coords()) == v
+
+    def test_never_equals_or_hashes_like_a_tuple(self):
+        v = MukaiVector(1, tuple(range(22)), 2)
+        assert v != v.coords() and v.coords() != v
+        assert hash(v) != hash(v.coords())
+        assert len({v, v.coords(), MukaiVector.from_coords(v.coords())}) == 2
+
+    def test_from_coords_validates(self):
+        with pytest.raises(ValueError, match="24 coordinates"):
+            MukaiVector.from_coords((0,) * 23)
+        with pytest.raises(TypeError):
+            MukaiVector.from_coords((0.5,) + (0,) * 23)
+        v = MukaiVector.from_coords([True] + [Fraction(4, 2)] * 22 + [Fraction(1, 2)])
+        assert [type(x) for x in v.coords()] == [int] * 23 + [Fraction]
