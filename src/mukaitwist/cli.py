@@ -30,11 +30,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from .intmat import determinant
 from .ktheory import CohomologySpec, SpecFormatError, e4_page
-from .lattices import definiteness, signature, standard_lattice
+from .lattices import definiteness_from_signature, signature, standard_lattice
 from .mukai import full_lattice
 from .verify import (
     DEFAULT_COORD_BOUND,
@@ -158,7 +157,7 @@ def _run_verify(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": f"verify {args.suite}",
-        "config": asdict(cfg) | {"word_length": args.word_length},
+        "config": cfg.to_dict() | {"word_length": args.word_length},
         "checks": [r.check_json() for r in reports],
     }
     _emit(doc, args.json, _verification_text(reports), started)
@@ -237,7 +236,7 @@ def _run_lattice_info(args) -> int:
         lattice = standard_lattice(args.name)
     det = determinant(lattice.gram)
     sig = signature(lattice.gram)
-    defi = definiteness(lattice.gram)
+    defi = definiteness_from_signature(sig)
     even = lattice.is_even()
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -19,7 +19,7 @@ eliminating without that reduction lets them grow to thousands of digits.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _kernels
 

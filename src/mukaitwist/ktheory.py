@@ -26,11 +26,10 @@ and K^1 = H^1 + H^3/<alpha>. Degree 0 is reported only as the graded triple
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd, lcm
-from pathlib import Path
-from typing import Sequence
 
 from .intmat import IntMatrix, smith_normal_form
 
@@ -283,9 +282,10 @@ class CohomologySpec:
             raise SpecFormatError(f"alpha: {exc}") from exc
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "CohomologySpec":
+    def from_file(cls, path: str | os.PathLike) -> "CohomologySpec":
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except UnicodeDecodeError as exc:
             raise SpecFormatError(
                 f"top level: {path} is not UTF-8 ({exc.reason} at byte {exc.start})"
@@ -314,17 +314,38 @@ class CohomologySpec:
         return order
 
 
-@dataclass(frozen=True)
 class E4Page:
-    """The stable page of the twisted degree computation for a surface.
+    """The stable page of the twisted degree computation for a surface; immutable.
 
     columns = (k.H0, H1, H2, H3/<alpha>, H4) with k the order of the twist
     class; the first entry is recorded both as an abstract group and via the
     multiplier k.
     """
 
-    h0_multiplier: int
-    columns: tuple[FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup]
+    def __init__(
+        self,
+        h0_multiplier: int,
+        columns: tuple[FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup],
+    ):
+        object.__setattr__(self, "h0_multiplier", h0_multiplier)
+        object.__setattr__(self, "columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: E4Page is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: E4Page is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.h0_multiplier == other.h0_multiplier and self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash((self.h0_multiplier, self.columns))
+
+    def __repr__(self) -> str:
+        return f"E4Page(h0_multiplier={self.h0_multiplier!r}, columns={self.columns!r})"
 
     def k1(self) -> FGAbelianGroup:
         """K^1 = H^1 + H^3/<alpha>, the odd columns of the stable page."""

@@ -15,10 +15,9 @@ Basis conventions (pinned so tests are reproducible):
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 from . import _kernels
 from .intmat import IntMatrix, determinant, kernel_basis
@@ -275,6 +274,8 @@ def signature(gram: IntMatrix) -> tuple[int, int, int]:
     """
     if not gram.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
+    from fractions import Fraction  # here, so that importing the package does not load it
+
     a = [[Fraction(x) for x in gram.row(i)] for i in range(gram.rows)]
     pos = neg = 0
     while a:
@@ -301,7 +302,12 @@ def signature(gram: IntMatrix) -> tuple[int, int, int]:
 
 def definiteness(gram: IntMatrix) -> str:
     """'positive definite', 'negative definite', 'indefinite' or 'degenerate'."""
-    pos, zero, neg = signature(gram)
+    return definiteness_from_signature(signature(gram))
+
+
+def definiteness_from_signature(sig: tuple[int, int, int]) -> str:
+    """definiteness() of a form whose signature() is sig, without a second elimination."""
+    pos, zero, neg = sig
     if zero:
         return "degenerate"
     if neg == 0:

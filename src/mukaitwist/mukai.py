@@ -22,15 +22,15 @@ is integral and squares to the identity.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import add, neg, sub
-from typing import Sequence, Union
 
 from .intmat import IntMatrix
 from .lattices import Isometry, Lattice, cover_involution_coords, standard_lattice
 
-Scalar = Union[int, Fraction]
+# For annotations only, which are not evaluated: naming Fraction loads nothing.
+Scalar = "int | Fraction"
 
 H2_RANK = 22
 FULL_RANK = 24
@@ -42,6 +42,8 @@ def _norm_scalar(x) -> Scalar:
         return int(x)
     if isinstance(x, int):
         return x
+    from fractions import Fraction  # loaded by the first rational entry, not by the int path
+
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
@@ -151,6 +153,8 @@ class BField:
 
 def canonical_b_field() -> BField:
     """The Enriques B-field: (e + f) / 2 in the third hyperbolic block."""
+    from fractions import Fraction
+
     half = Fraction(1, 2)
     return BField((0,) * 20 + (half, half))
 
@@ -168,6 +172,8 @@ def cover_involution(v: MukaiVector) -> MukaiVector:
 
 def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
     """The unipotent shear e^b: (r, c, s) -> (r, c + r b, s + c.b + r b^2 / 2)."""
+    from fractions import Fraction
+
     if not isinstance(b, BField):
         b = BField(b)
     x = v.coords()

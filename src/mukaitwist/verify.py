@@ -59,7 +59,6 @@ from __future__ import annotations
 import marshal
 import os
 import time
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 
@@ -99,34 +98,81 @@ DEFAULT_WORD_LENGTH = 8
 EXHAUSTIVE_ENTRY_BOUND = 2  # low-support exhaustive pass scans entries in [-2, 2]
 
 
-@dataclass(frozen=True)
 class TrialConfig:
-    """Deterministic sampling configuration for a verification run."""
+    """Deterministic sampling configuration for a verification run; immutable."""
 
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    coord_bound: int = DEFAULT_COORD_BOUND
-
-    def __post_init__(self):
-        if self.trials < 0:
+    def __init__(self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, coord_bound: int = DEFAULT_COORD_BOUND):
+        if trials < 0:
             raise ValueError("trials must be >= 0")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be in [0, 2**64)")
         # A coordinate is one draw from the 2b + 1 values in [-b, b]; SplitMix64 has 2**64.
-        if not 1 <= self.coord_bound < 2**63:
+        if not 1 <= coord_bound < 2**63:
             raise ValueError("coord_bound must be in [1, 2**63)")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "coord_bound", coord_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: TrialConfig is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: TrialConfig is immutable")
+
+    def to_dict(self) -> dict:
+        """The configuration as it appears in a report: trials, seed, coord_bound."""
+        return {"trials": self.trials, "seed": self.seed, "coord_bound": self.coord_bound}
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.trials, self.seed, self.coord_bound
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"TrialConfig(trials={self.trials!r}, seed={self.seed!r}, coord_bound={self.coord_bound!r})"
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one check: pass/fail, trial count, and any counterexample."""
+    """Outcome of one check: pass/fail, trial count, and any counterexample.
 
-    check_name: str
-    trials_run: int
-    passed: bool
-    counterexample: dict | None
-    config: dict
-    elapsed_s: float = field(compare=False)
+    Two reports are equal when everything but elapsed_s is.
+    """
+
+    def __init__(
+        self,
+        check_name: str,
+        trials_run: int,
+        passed: bool,
+        counterexample: dict | None,
+        config: dict,
+        elapsed_s: float,
+    ):
+        self.check_name = check_name
+        self.trials_run = trials_run
+        self.passed = passed
+        self.counterexample = counterexample
+        self.config = config
+        self.elapsed_s = elapsed_s
+
+    def _key(self) -> tuple:
+        return self.check_name, self.trials_run, self.passed, self.counterexample, self.config
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable, and its config and counterexample are dicts
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"VerificationReport({fields})"
 
     def summary(self) -> dict:
         """Everything except timing; equal summaries mean identical runs."""
@@ -295,7 +341,7 @@ def _square_results(cfg: TrialConfig, indices):
 
 def verify_square_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """(l + Tl)^2 = 0 mod 4 on random degree-2 classes plus a low-support sweep."""
-    return _run_cases("square-congruence", asdict(cfg), partial(_square_results, cfg), cfg.trials + SWEEP_CASES, jobs)
+    return _run_cases("square-congruence", cfg.to_dict(), partial(_square_results, cfg), cfg.trials + SWEEP_CASES, jobs)
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +418,7 @@ def _characteristic_results(cfg: TrialConfig, trials):
 
 def verify_characteristic_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """<(0,0,1), v> = v^2 mod 4 on T-invariant v from two independent samplers."""
-    return _run_cases("characteristic-congruence", asdict(cfg), partial(_characteristic_results, cfg), cfg.trials, jobs)
+    return _run_cases("characteristic-congruence", cfg.to_dict(), partial(_characteristic_results, cfg), cfg.trials, jobs)
 
 
 def _invariant_lattice_results():
@@ -529,7 +575,7 @@ def verify_phi_integrality(
     # Each trial draws its length from [0, word_length], at most 2**64 values.
     if not 0 <= word_length < 2**64:
         raise ValueError("word length must be in [0, 2**64)")
-    config = asdict(cfg) | {"word_length": word_length}
+    config = cfg.to_dict() | {"word_length": word_length}
     cases = partial(_phi_results, cfg, word_length=word_length)
     return _run_cases("phi-integrality", config, cases, cfg.trials, jobs)
 

@@ -64,6 +64,17 @@ class TestKtheoryCommand:
         assert code == 2
         assert "cannot read" in err
 
+    def test_read_errors_keep_their_messages(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "ktheory", "--input", str(missing))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+        bad = tmp_path / "late.json"
+        bad.write_bytes(b'{"h0": 1}\xfe')
+        code, out, err = run(capsys, "ktheory", "--input", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed cohomology file: top level: {bad} is not UTF-8 (invalid start byte at byte 9)\n"
+
     def test_malformed_file_names_field(self, capsys, tmp_path):
         doc = json.loads((DATA / "enriques.json").read_text())
         doc["h3"]["torsion"] = [3, 2]
@@ -166,6 +177,25 @@ class TestLatticeCommand:
         code, out, _ = run(capsys, "lattice", "info", "--name", "minus-e8")
         assert code == 0
         assert "negative definite" in out
+
+    @pytest.mark.parametrize("name", ["minus-e8", "mukai-full"])
+    def test_signature_computed_once(self, capsys, monkeypatch, name):
+        import mukaitwist.lattices as lattices
+
+        calls = []
+        real = lattices.signature
+
+        def counted(gram):
+            calls.append(gram)
+            return real(gram)
+
+        monkeypatch.setattr(lattices, "signature", counted)
+        monkeypatch.setattr("mukaitwist.cli.signature", counted)
+        code, doc, _ = run_json(capsys, "lattice", "info", "--name", name, "--json")
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert doc["result"]["definiteness"] == lattices.definiteness(calls[0])
 
     def test_unknown_name_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -343,6 +373,25 @@ def test_cli_import_loads_no_runner_module():
     loaded = set(proc.stdout.split())
     assert "mukaitwist.cli" in loaded
     assert not loaded.intersection(RUNNER_ONLY_MODULES)
+
+
+# Standard-library modules no command needs at `import mukaitwist.cli`.
+# fractions (and with it decimal) loads on the first rational computation.
+COLD_START_UNUSED_MODULES = ("dataclasses", "inspect", "typing", "pathlib", "fractions", "decimal")
+
+
+def test_cli_import_loads_only_what_the_commands_use():
+    code = (
+        "import sys, mukaitwist.cli; print(' '.join(sys.modules)); "
+        "mukaitwist.canonical_b_field(); print(' '.join(sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    at_import, after_b_field = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "mukaitwist.cli" in at_import
+    assert not at_import.intersection(COLD_START_UNUSED_MODULES)
+    assert "fractions" in after_b_field
 
 
 class TestArgparseBehavior:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mukaitwist import CohomologySpec, FGAbelianGroup, SpecFormatError, e4_page, k1_surface
+from mukaitwist import CohomologySpec, E4Page, FGAbelianGroup, SpecFormatError, e4_page, k1_surface
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "mukaitwist" / "data"
 
@@ -291,6 +292,20 @@ class TestE4Page:
             assert page.columns[3] == h3.quotient_by(alpha)
             assert page.k1() == k1_surface(spec) == h3.quotient_by(alpha)
 
+    def test_equality_and_immutability(self):
+        page = e4_page(ENRIQUES_TWISTED)
+        assert page == e4_page(ENRIQUES_TWISTED)
+        assert hash(page) == hash(e4_page(ENRIQUES_TWISTED))
+        assert page != e4_page(ENRIQUES_UNTWISTED)
+        assert page == E4Page(2, page.columns) == E4Page(h0_multiplier=2, columns=page.columns)
+        for name in ("h0_multiplier", "columns"):
+            with pytest.raises(AttributeError):
+                setattr(page, name, None)
+            with pytest.raises(AttributeError):
+                delattr(page, name)
+        assert page.h0_multiplier == 2
+        assert pickle.loads(pickle.dumps(page)) == page
+
     def test_k0_graded_flags_extension(self):
         page = e4_page(ENRIQUES_TWISTED)
         assert page.k0_graded() == (page.columns[0], page.columns[2], page.columns[4])
@@ -329,6 +344,13 @@ class TestSpecIO:
         mutate(doc)
         with pytest.raises(SpecFormatError, match=field.replace(".", r"\.")):
             CohomologySpec.from_dict(doc)
+
+    def test_from_file_accepts_str_and_path(self):
+        path = DATA / "enriques.json"
+        assert isinstance(path, Path)
+        by_path = CohomologySpec.from_file(path)
+        by_str = CohomologySpec.from_file(str(path))
+        assert by_str.to_dict() == by_path.to_dict() == ENRIQUES_TWISTED.to_dict()
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"

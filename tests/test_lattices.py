@@ -23,7 +23,7 @@ from mukaitwist import (
     standard_lattice,
     twisted_involution_matrix,
 )
-from mukaitwist.lattices import cover_involution_h2
+from mukaitwist.lattices import cover_involution_h2, definiteness_from_signature
 
 from conftest import descartes_signature, rational_det, rational_rank
 
@@ -313,3 +313,17 @@ class TestSignature:
         g = IntMatrix.from_rows([[0, 0], [0, 1]])
         assert signature(g) == (1, 1, 0)
         assert definiteness(g) == "degenerate"
+
+    @pytest.mark.parametrize(
+        "sig, expected",
+        [
+            ((8, 0, 0), "positive definite"),
+            ((0, 0, 8), "negative definite"),
+            ((3, 0, 19), "indefinite"),
+            ((0, 0, 0), "indefinite"),
+            ((1, 1, 0), "degenerate"),
+            ((0, 2, 0), "degenerate"),
+        ],
+    )
+    def test_definiteness_from_signature(self, sig, expected):
+        assert definiteness_from_signature(sig) == expected

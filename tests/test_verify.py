@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import os
+import pickle
 import random
 from itertools import combinations, product
 
@@ -14,6 +16,7 @@ from mukaitwist import (
     Lattice,
     MukaiVector,
     TrialConfig,
+    VerificationReport,
     fixed_sublattice,
     full_lattice,
     mukai_pairing,
@@ -316,7 +319,7 @@ class TestDeterminism:
         cfg = TrialConfig(trials=50, seed=9)
         a = verify_square_congruence(cfg)
         b = verify_square_congruence(cfg)
-        assert a == b  # dataclass eq with elapsed excluded
+        assert a == b  # equality ignores elapsed_s
         assert a.elapsed_s >= 0
 
     def test_different_seeds_differ(self):
@@ -410,6 +413,61 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="seed"):
             TrialConfig(seed=2**64)
         assert TrialConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"trials": -1}, "trials must be >= 0"),
+            ({"seed": 2**64}, "seed must be in [0, 2**64)"),
+            ({"coord_bound": 2**63}, "coord_bound must be in [1, 2**63)"),
+        ],
+    )
+    def test_validation_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            TrialConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_construction(self):
+        cfg = TrialConfig(5, 7, 9)
+        assert (cfg.trials, cfg.seed, cfg.coord_bound) == (5, 7, 9)
+        assert cfg == TrialConfig(trials=5, seed=7, coord_bound=9) == TrialConfig(5, coord_bound=9, seed=7)
+        default = TrialConfig()
+        assert (default.trials, default.seed, default.coord_bound) == (
+            verify.DEFAULT_TRIALS,
+            verify.DEFAULT_SEED,
+            verify.DEFAULT_COORD_BOUND,
+        )
+        assert list(cfg.to_dict().items()) == [("trials", 5), ("seed", 7), ("coord_bound", 9)]
+        assert repr(cfg) == "TrialConfig(trials=5, seed=7, coord_bound=9)"
+
+    def test_immutable(self):
+        cfg = TrialConfig(trials=5)
+        for name in ("trials", "seed", "coord_bound", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(cfg, name)
+        assert cfg.trials == 5
+
+    def test_equality_and_hash(self):
+        a, b = TrialConfig(trials=5, seed=3), TrialConfig(trials=5, seed=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, TrialConfig(trials=5, seed=4)}) == 2
+        assert a != TrialConfig(trials=6, seed=3)
+        assert a != (5, 3, verify.DEFAULT_COORD_BOUND)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
+
+
+class TestVerificationReport:
+    def test_equality_ignores_elapsed(self):
+        report = VerificationReport("square-congruence", 3, True, None, {"trials": 3}, 0.5)
+        same = VerificationReport("square-congruence", 3, True, None, {"trials": 3}, elapsed_s=9.0)
+        assert report == same
+        assert report != VerificationReport("square-congruence", 3, False, {"ell": []}, {"trials": 3}, 0.5)
+        assert report != VerificationReport("square-congruence", 3, True, None, {"trials": 4}, 0.5)
+        with pytest.raises(TypeError):
+            hash(report)
 
 
 def _break_square(monkeypatch):
