@@ -1,4 +1,4 @@
-"""Dense exact-integer matrices: Hermite/Smith normal forms, kernels, determinants.
+"""Dense exact-integer matrices: Hermite/Smith normal forms, kernels, determinants, signatures.
 
 Entries are Python ints, so nothing can overflow silently; intermediate
 swell in the normal forms is absorbed by arbitrary precision. Matrices are
@@ -16,6 +16,8 @@ Both forms share one elimination, ``_hermite_rows``. The Smith form
 alternates Hermite forms of the rows and of the columns; reducing above
 every pivot on each pass keeps the entries of U and V small, where
 eliminating without that reduction lets them grow to thousands of digits.
+``determinant`` and ``signature`` share one fraction-free elimination,
+``_bareiss_step``, whose exact divisions keep every entry an integer.
 """
 from __future__ import annotations
 
@@ -309,37 +311,71 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(m.cols, len(vectors), [vec[i] for i in range(m.cols) for vec in vectors])
 
 
+def _bareiss_step(a: list[list[int]], k: int, j: int, prev: int) -> int:
+    """Eliminate on a[k][j], fraction-free: pop row k and column j, return the pivot d.
+
+    Every other row becomes (row * d - a_ij * pivot row) // prev, where prev is
+    the previous step's pivot (1 at the start). By Sylvester's identity each
+    entry is then a minor of the input, so the division is exact. A row with
+    a_ij = 0 is only scaled by d / prev.
+    """
+    pivot = a.pop(k)
+    d = pivot.pop(j)
+    for i, row in enumerate(a):
+        f = row.pop(j)
+        if f:
+            a[i] = [(x * d - f * p) // prev for x, p in zip(row, pivot)]
+        elif d != prev:
+            a[i] = [x * d // prev for x in row]
+    return d
+
+
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant by Bareiss fraction-free elimination; the last pivot is det."""
     if not m.is_square():
         raise ValueError(f"determinant requires a square matrix, got {m.shape}")
-    n = m.rows
-    if n == 0:
-        return 1
     a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+    sign = d = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[0]), None)
+        if k is None:
+            return 0
+        if k % 2:  # row k moves to the top past k rows
             sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
+        d = _bareiss_step(a, k, 0, d)
+    return sign * d
+
+
+def signature(gram: IntMatrix) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_zero, n_minus), by the Bareiss step on symmetric pivots.
+
+    Each step pivots on the first nonzero diagonal entry. The remaining rows
+    are prev times the Schur complement, which stays symmetric, so the pivot
+    of the complement, d / prev, is positive when d and prev have one sign.
+    When the diagonal is all zero, adding row and column j to row and column
+    k, a unimodular congruence, makes a_kk = 2 a_kj nonzero. What is left
+    once every entry is zero is null.
+    """
+    if not gram.is_symmetric():
+        raise ValueError("signature requires a symmetric matrix")
+    a = gram.to_rows()
+    pos = neg = 0
+    d = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), (None, None))
+            if k is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        prev, d = d, _bareiss_step(a, k, k, d)
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+    return pos, gram.rows - pos - neg, neg
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

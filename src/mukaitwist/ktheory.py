@@ -60,7 +60,7 @@ class FGAbelianGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
-        if not isinstance(free_rank, int) or free_rank < 0:
+        if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
             raise ValueError("free_rank must be a non-negative integer")
         torsion = tuple(torsion)
         for d in torsion:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import _kernels
-from .intmat import IntMatrix, determinant, kernel_basis
+from .intmat import IntMatrix, determinant, kernel_basis, signature
 
 Vector = tuple[int, ...]
 
@@ -261,43 +261,6 @@ def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[
     if coord_bound < 0:
         raise ValueError("coord_bound must be >= 0")
     return _kernels.norm_scan(lattice.gram.flat, lattice.rank, target_norm, coord_bound)
-
-
-def signature(gram: IntMatrix) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_zero, n_minus), by one exact symmetric elimination.
-
-    Each step pivots on the first nonzero diagonal entry d, counts its sign
-    and replaces the remaining rows by the Schur complement, which stays
-    symmetric. When the diagonal is all zero, adding row and column j to row
-    and column k, a unimodular congruence, makes a_kk = 2 a_kj nonzero. What
-    is left once every entry is zero is null.
-    """
-    if not gram.is_symmetric():
-        raise ValueError("signature requires a symmetric matrix")
-    from fractions import Fraction  # here, so that importing the package does not load it
-
-    a = [[Fraction(x) for x in gram.row(i)] for i in range(gram.rows)]
-    pos = neg = 0
-    while a:
-        k = next((i for i, row in enumerate(a) if row[i]), None)
-        if k is None:
-            k, j = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), (None, None))
-            if k is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[j])]
-            for row in a:
-                row[k] += row[j]
-        pivot = a.pop(k)
-        d = pivot.pop(k)
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i, row in enumerate(a):
-            f = row.pop(k) / d
-            if f:
-                a[i] = [x - f * p for x, p in zip(row, pivot)]
-    return pos, gram.rows - pos - neg, neg
 
 
 def definiteness(gram: IntMatrix) -> str:

@@ -98,10 +98,18 @@ DEFAULT_WORD_LENGTH = 8
 EXHAUSTIVE_ENTRY_BOUND = 2  # low-support exhaustive pass scans entries in [-2, 2]
 
 
+def _require_int(field: str, value) -> None:
+    """Reject anything but an int for a count or seed; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{field} must be an int, got {type(value).__name__}")
+
+
 class TrialConfig:
     """Deterministic sampling configuration for a verification run; immutable."""
 
     def __init__(self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, coord_bound: int = DEFAULT_COORD_BOUND):
+        for field, value in (("trials", trials), ("seed", seed), ("coord_bound", coord_bound)):
+            _require_int(field, value)
         if trials < 0:
             raise ValueError("trials must be >= 0")
         if not 0 <= seed < 2**64:
@@ -241,6 +249,7 @@ def _receive(read_fd: int, worker: int) -> tuple[int, dict] | None:
 
 def _run_cases(name: str, config: dict, cases, count: int, jobs: int = 1) -> VerificationReport:
     """Run cases 0..count-1 on min(jobs, count) workers; report the lowest failing index."""
+    _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
@@ -513,6 +522,10 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
     as verify_phi_integrality evaluates it on (0,0,1); it is then checked as
     an isometry and for commuting with T.
     """
+    _require_int("seed", seed)
+    _require_int("word_length", word_length)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2**64)")
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     word = _sample_word(seed, word_length)
@@ -572,6 +585,7 @@ def verify_phi_integrality(
     Also asserts the strengthening <phi(0,0,1), l + Tl> = 0 mod 4 on
     STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
     """
+    _require_int("word_length", word_length)
     # Each trial draws its length from [0, word_length], at most 2**64 values.
     if not 0 <= word_length < 2**64:
         raise ValueError("word length must be in [0, 2**64)")

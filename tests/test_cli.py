@@ -394,6 +394,30 @@ def test_cli_import_loads_only_what_the_commands_use():
     assert "fractions" in after_b_field
 
 
+def test_no_command_loads_fractions():
+    # fractions and decimal load only for rational Mukai entries (BField, exp_b).
+    commands = [["lattice", "info", "--name", name] for name in ("u", "e8", "minus-e8", "mukai-h2", "mukai-full")]
+    commands += [
+        ["ktheory", "--enriques", "--twisted"],
+        ["ktheory", "--enriques", "--untwisted"],
+        ["ktheory", "--input", str(DATA / "enriques.json")],
+        ["verify", "claims", "--trials", "1", "--jobs", "1"],
+        ["verify", "phi-integrality", "--trials", "1", "--jobs", "1"],
+    ]
+    code = (
+        "import sys; from mukaitwist.cli import main; "
+        f"codes = [main(argv) for argv in {commands!r}]; "
+        "print(codes, ' '.join(sys.modules), file=sys.stderr)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    codes, loaded = proc.stderr.rsplit("]", 1)
+    assert codes == "[" + ", ".join(["0"] * len(commands))
+    assert "mukaitwist.cli" in loaded.split()
+    assert not {"fractions", "decimal"}.intersection(loaded.split())
+
+
 class TestArgparseBehavior:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mukaitwist import (
@@ -219,6 +219,21 @@ class TestKernel:
             assert all(s[i, i] == 1 for i in range(k.cols))
 
 
+@st.composite
+def zero_heavy_square_matrices(draw, max_n=7):
+    """A square matrix, mostly zeros, some entries up to 2**100 in size.
+
+    The leading entries of its first rows are zeroed, all of them at times,
+    so that elimination has to pivot on a later row or finds none.
+    """
+    n = draw(st.integers(0, max_n))
+    entry = st.just(0) | st.just(0) | st.integers(-3, 3) | st.integers(-(2**100), 2**100)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for row in rows[: draw(st.integers(0, n))]:
+        row[0] = 0
+    return IntMatrix(n, n, [x for row in rows for x in row])
+
+
 class TestDeterminant:
     def test_identity(self):
         assert determinant(IntMatrix.identity(5)) == 1
@@ -242,6 +257,11 @@ class TestDeterminant:
             n = rng.randint(1, 4)
             m = random_matrix(rng, n, n)
             assert determinant(m) == cofactor_det(m)
+
+    @settings(max_examples=300)
+    @given(zero_heavy_square_matrices())
+    def test_against_rational_elimination(self, m):
+        assert determinant(m) == rational_det(m)
 
 
 class TestSolve:

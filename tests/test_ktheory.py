@@ -30,6 +30,9 @@ class TestCanonicalForm:
     def test_validation(self):
         with pytest.raises(ValueError):
             FGAbelianGroup(-1)
+        for free_rank in (True, False, 1.0):
+            with pytest.raises(ValueError, match="free_rank"):
+                FGAbelianGroup(free_rank)
         with pytest.raises(ValueError):
             FGAbelianGroup(0, (1,))
         with pytest.raises(ValueError):

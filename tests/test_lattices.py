@@ -271,10 +271,15 @@ class TestShortVectors:
 
 @st.composite
 def symmetric_matrices(draw, max_n=5):
-    """A symmetric n x n matrix with small entries, many zero; half have a zero diagonal."""
+    """A symmetric n x n matrix, many entries zero; half have a zero diagonal.
+
+    The nonzero entries lie in [-3, 3] or, so that the exact divisions run on
+    large minors, in [-10**6, 10**6].
+    """
     n = draw(st.integers(0, max_n))
     zero_diagonal = draw(st.booleans())
-    entry = st.just(0) | st.integers(-3, 3)
+    bound = draw(st.sampled_from([3, 10**6]))
+    entry = st.just(0) | st.integers(-bound, bound)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + zero_diagonal, n):

@@ -149,6 +149,21 @@ class TestEquivariantSampler:
         with pytest.raises(ValueError):
             sample_equivariant_isometry(0, -1)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, -(2**64)])
+    def test_seed_outside_the_prng_range_rejected(self, seed):
+        # mix64 masks to 64 bits, so these would alias seeds inside the range.
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            sample_equivariant_isometry(seed, 8)
+
+    def test_largest_seed_accepted(self):
+        assert sample_equivariant_isometry(2**64 - 1, 2).matrix.shape == (24, 24)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": 1.0}, {"seed": True}, {"word_length": 2.0}, {"word_length": True}])
+    def test_non_int_arguments_rejected(self, kwargs):
+        args = {"seed": 0, "word_length": 2} | kwargs
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            sample_equivariant_isometry(**args)
+
 
 class TestWordEvaluation:
     """Words applied to vectors letter by letter, against the matrix products they stand for."""
@@ -307,6 +322,12 @@ class TestPhiIntegrality:
         report = verify_phi_integrality(TrialConfig(trials=5, seed=4), word_length=0)
         assert report.passed
 
+    @pytest.mark.parametrize("word_length, kind", [(2.0, "float"), (True, "bool")])
+    def test_non_int_word_length_rejected(self, word_length, kind):
+        with pytest.raises(TypeError) as exc:
+            verify_phi_integrality(TrialConfig(trials=1), word_length=word_length)
+        assert str(exc.value) == f"word_length must be an int, got {kind}"
+
 
 class TestDeterminism:
     def test_reports_reproduce(self):
@@ -413,6 +434,10 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="seed"):
             TrialConfig(seed=2**64)
         assert TrialConfig(seed=2**64 - 1).seed == 2**64 - 1
+        for field in ("trials", "seed", "coord_bound"):
+            for bad in (True, 2.0, 2.5, "2"):
+                with pytest.raises(TypeError, match=field):
+                    TrialConfig(**{field: bad})
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -424,6 +449,20 @@ class TestTrialConfig:
     )
     def test_validation_messages(self, kwargs, message):
         with pytest.raises(ValueError) as exc:
+            TrialConfig(**kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"trials": True}, "trials must be an int, got bool"),
+            ({"trials": 2.0}, "trials must be an int, got float"),
+            ({"seed": 1.0}, "seed must be an int, got float"),
+            ({"coord_bound": 2.5}, "coord_bound must be an int, got float"),
+        ],
+    )
+    def test_type_messages(self, kwargs, message):
+        with pytest.raises(TypeError) as exc:
             TrialConfig(**kwargs)
         assert str(exc.value) == message
 
@@ -647,6 +686,12 @@ class TestParallelRuns:
     def test_jobs_below_one_rejected(self, check):
         with pytest.raises(ValueError, match="jobs"):
             PARALLEL_CHECKS[check](ORDER_CFG, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [True, 2.0])
+    def test_non_int_jobs_rejected(self, check, jobs):
+        with pytest.raises(TypeError, match="jobs must be an int"):
+            PARALLEL_CHECKS[check](ORDER_CFG, jobs=jobs)
+        _no_child_left()
 
 
 class TestSquareSweepIndices:
