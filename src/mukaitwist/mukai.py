@@ -18,7 +18,9 @@ z3 = (1/2, 1/2); the twisted involution
 
     T = exp(2 b0) o (cover involution)
 
-is integral and squares to the identity.
+is integral and squares to the identity. Its one closed form is
+twisted_involution_coords, on the 24 coordinates; twisted_involution applies
+it to a MukaiVector and twisted_involution_matrix is its matrix.
 """
 from __future__ import annotations
 
@@ -183,10 +185,10 @@ def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
     return _vector((r, *(ci + r * bi for ci, bi in zip(c, b.coords)), x[23] + cb + r * half_sq))
 
 
-def twisted_involution(v: MukaiVector) -> MukaiVector:
-    """T = exp(2 b0) o (cover involution); integral on integral vectors.
+def twisted_involution_coords(x: tuple) -> tuple:
+    """T = exp(2 b0) o (cover involution) on 24 coordinates; integral on integers.
 
-    Closed form: with z3 = (a, b),
+    The one closed form of T: with z3 = (a, b),
 
         T(r, (x, y, z1, z2, z3), s)
             = (r, (y, x, z2, z1, (r - a, r - b)), s - a - b + r),
@@ -195,10 +197,13 @@ def twisted_involution(v: MukaiVector) -> MukaiVector:
     shifted by r - a - b. The composition route exp_b(2 b0, cover_involution(v))
     is kept as an independent oracle in the test suite.
     """
-    x = v.coords()
     r, a, b = x[0], x[21], x[22]
-    tau_c = cover_involution_coords(x[1:23])[:20]
-    return _vector((r, *tau_c, r - a, r - b, x[23] - a - b + r))
+    return (r, *cover_involution_coords(x[1:23])[:20], r - a, r - b, x[23] - a - b + r)
+
+
+def twisted_involution(v: MukaiVector) -> MukaiVector:
+    """T applied to a Mukai vector; see twisted_involution_coords."""
+    return _vector(twisted_involution_coords(v.coords()))
 
 
 @lru_cache(maxsize=None)

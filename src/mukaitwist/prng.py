@@ -19,10 +19,12 @@ of one next_u64, kept when it lands below hi - lo + 1. integer is
 integers(lo, hi, 1) and below is integers(0, n - 1, 1), so all three draw
 the same values and leave the same state.
 
-integers evaluates its candidates as a lane batch: m consecutive outputs
-computed at once in 128-bit lanes of one Python int, lane k holding
-state + (k + 1) GAMMA mod 2**64. The batch is exact, lane by lane, because
-no operation of mix64 carries a bit out of its lane:
+A single draw (count 1) runs that one-at-a-time loop itself, which costs
+less than setting up a batch. For more, integers evaluates its candidates
+as a lane batch: m consecutive outputs computed at once in 128-bit lanes of
+one Python int, lane k holding state + (k + 1) GAMMA mod 2**64. The batch
+is exact, lane by lane, because no operation of mix64 carries a bit out of
+its lane:
 
 - every xor-shift shifts the whole int right and masks each lane back to its
   low 64 bits, so the bits that a lane receives from the lane above are
@@ -90,6 +92,11 @@ class SplitMix64:
         if not bits:  # n == 1 takes no draw
             return (lo,) * count
         shift = 64 - bits
+        if count == 1:  # one draw: the plain rejection loop, cheaper than a batch
+            while True:
+                r = self.next_u64() >> shift
+                if r < n:
+                    return (lo + r,)
         state = self.state
         out = []
         while True:

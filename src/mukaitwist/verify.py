@@ -50,9 +50,13 @@ Checks:
   form.
 * phi integrality -- words in T-equivariant generators send (0,0,1) to a
   vector with even degree-2 part, and <phi(0,0,1), l + Tl> = 0 mod 4. The
-  generator pool is T, -1 and reflection vectors w, each checked once at
-  harvest (w^2 = +-2, T w = +-w); a word is applied to (0,0,1) letter by
-  letter, right to left, each reflection as a rank-one update.
+  generator pool is T, -1 and reflection vectors w, harvested once per
+  process from the lex-sorted short vectors of the +-1 eigenlattices of T:
+  of each scan's hits, which come in pairs +-v, the upper half (the v with
+  a positive leading entry) is kept. Every kept w is checked at harvest:
+  T w = +-w on coordinates, and w^2 = +-2 by Reflection. A word is applied
+  to (0,0,1) letter by letter, right to left, each reflection as a rank-one
+  update.
 """
 from __future__ import annotations
 
@@ -61,6 +65,7 @@ import os
 import time
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
+from operator import neg
 
 from .intmat import IntMatrix, determinant, solve
 from .lattices import (
@@ -85,6 +90,7 @@ from .mukai import (
     mukai_pairing,
     point_class,
     twisted_involution,
+    twisted_involution_coords,
     twisted_involution_matrix,
 )
 from .prng import SplitMix64, mix64, substream
@@ -476,29 +482,34 @@ def _generator_pool() -> tuple[Isometry | Reflection, ...]:
 
     T and -1 are isometries; every other entry is a Reflection, kept as its
     vector w and applied to a vector as a rank-one update (its matrix is
-    built only on demand). The vectors w are harvested from the fixed and
-    anti-fixed lattices of T (square +-2, coordinate box 1 in the kernel
-    basis) and checked once, here: Reflection checks w^2 = +-2 in the full
-    lattice, and T w = +-w is checked against T. A reflection in such a w
-    commutes with T, so every word in the pool does. This pool generates a
-    proper subgroup of the full equivariant orthogonal group; it is a test
-    family, not an enumeration.
+    built only on demand). The vectors w are harvested from the fixed
+    lattice (the cached _invariant_basis) and the anti-fixed lattice of T:
+    short_vectors lists, in lexicographic order, the vectors of square +-2
+    in the coordinate box 1 of the kernel basis. Negation reverses that
+    order and maps hits to hits, and the zero vector has square 0, so it is
+    never a hit: the upper half of each list is exactly the hits with a
+    positive leading entry, in order, one of each pair +-v, which give the
+    same reflection. Each w of the upper half is checked once, here: T w is
+    compared with +-w by twisted_involution_coords, and Reflection checks
+    w^2 = +-2 in the full lattice. A reflection in such a w commutes with T,
+    so every word in the pool does. This pool generates a proper subgroup
+    of the full equivariant orthogonal group; it is a test family, not an
+    enumeration.
     """
     lat = full_lattice()
     t_iso = twisted_involution_matrix()
     minus_identity = Isometry(lat, -IntMatrix.identity(FULL_RANK))
     pool: list[Isometry | Reflection] = [t_iso, minus_identity]
-    for sign in (1, -1):
-        basis, gram = fixed_sublattice(lat, t_iso, sign)
+    for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, t_iso, -1))):
         sub = Lattice(gram, f"T-fixed({sign:+d})")
         for target in (2, -2):
-            for v in short_vectors(sub, target, 1):
-                if next((c for c in v if c), 0) < 0:
-                    continue  # skip -w; same reflection
+            hits = short_vectors(sub, target, 1)
+            for v in islice(hits, len(hits) // 2, None):  # leading entry > 0
                 w = basis.mul_vec(v)
-                if twisted_involution(MukaiVector.from_coords(w)).coords() != tuple(sign * c for c in w):
+                if twisted_involution_coords(w) != (w if sign == 1 else tuple(map(neg, w))):
                     raise RuntimeError(f"harvested vector is not a {sign:+d}-eigenvector of T")
                 pool.append(Reflection(lat, w))
+            del hits  # free this scan's list before the next scan builds its own
     return tuple(pool)
 
 

@@ -241,6 +241,17 @@ class TestReflection:
             reflection(U, (1, 0))  # square 0
 
 
+@st.composite
+def small_forms(draw):
+    """A symmetric n x n matrix, 1 <= n <= 6, with entries in [-2, 2]."""
+    n = draw(st.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+    return IntMatrix(n, n, [x for row in rows for x in row])
+
+
 class TestShortVectors:
     def test_hyperbolic_norm_zero(self):
         got = short_vectors(U, 0, 1)
@@ -267,6 +278,23 @@ class TestShortVectors:
         got = short_vectors(MINUS_E8, -2, 1)
         assert got == sorted(got)
         assert len(got) > 0
+
+    # The generator-pool harvest keeps the upper half of each scan as the one
+    # vector of each pair +-v with a positive leading entry. That holds for a
+    # nonzero target: negation reverses lex order, and 0 is no hit.
+    @settings(max_examples=40)
+    @given(small_forms(), st.integers(-4, 4).filter(bool), st.integers(0, 2))
+    def test_upper_half_is_the_positive_leading_hits(self, gram, target, bound):
+        hits = short_vectors(Lattice(gram), target, bound)
+        assert len(hits) % 2 == 0
+        assert hits[len(hits) // 2 :] == [v for v in hits if next(c for c in v if c) > 0]
+
+    @settings(max_examples=20)
+    @given(small_forms(), st.integers(0, 2))
+    def test_target_zero_puts_the_zero_vector_in_the_middle(self, gram, bound):
+        hits = short_vectors(Lattice(gram), 0, bound)
+        assert len(hits) % 2 == 1
+        assert hits[len(hits) // 2] == (0,) * gram.rows
 
 
 @st.composite

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mukaitwist import (
@@ -23,7 +23,7 @@ from mukaitwist import (
     twisted_involution,
     twisted_involution_matrix,
 )
-from mukaitwist.mukai import _norm_scalar
+from mukaitwist.mukai import _norm_scalar, twisted_involution_coords
 from mukaitwist.verify import sample_equivariant_isometry
 
 
@@ -204,6 +204,22 @@ class TestTwistedInvolution:
         for _ in range(200):
             u, v = random_integral(rng, 9), random_integral(rng, 9)
             assert mukai_pairing(twisted_involution(u), twisted_involution(v)) == mukai_pairing(u, v)
+
+
+class TestTwistedInvolutionCoords:
+    """The one closed form of T, on 24 coordinates, against the vector map and the composition."""
+
+    @settings(max_examples=60)
+    @given(st.lists(INTS, min_size=24, max_size=24).map(tuple))
+    def test_matches_vector_map_and_composition_oracle(self, x):
+        t = twisted_involution_coords(x)
+        v = MukaiVector.from_coords(x)
+        assert t == twisted_involution(v).coords()
+        assert t == exp_b(canonical_b_field().times(2), cover_involution(v)).coords()
+        assert twisted_involution_coords(t) == x
+
+    def test_matrix_is_the_map_on_unit_vectors(self):
+        assert twisted_involution_matrix().matrix == IntMatrix.of_map(twisted_involution_coords, 24)
 
 
 class TestTwistedInvolutionMatrix:

@@ -55,9 +55,16 @@ def test_below_rejects_draws_out_of_range():
 
 
 SEEDS = st.integers(0, 2**64 - 1)
-# hi - lo: small spans, spans of 2^k values (a whole number of top bits) and
-# any span up to the 2^64 values one output can cover.
-SPANS = st.one_of(st.integers(0, 300), st.integers(0, 64).map(lambda k: 2**k - 1), st.integers(0, 2**64 - 1))
+# hi - lo: small spans, spans of 2^k values (a whole number of top bits), of
+# 2^k + 1 and 2^k + 2 values (acceptance just over 1/2) and any span up to
+# the 2^64 values one output can cover.
+SPANS = st.one_of(
+    st.integers(0, 300),
+    st.integers(0, 64).map(lambda k: 2**k - 1),
+    st.integers(0, 63).map(lambda k: 2**k),
+    st.integers(0, 63).map(lambda k: 2**k + 1),
+    st.integers(0, 2**64 - 1),
+)
 
 
 @given(SEEDS, st.integers(-(2**70), 2**70), SPANS, st.integers(0, 40))
@@ -66,6 +73,12 @@ SPANS = st.one_of(st.integers(0, 300), st.integers(0, 64).map(lambda k: 2**k - 1
 @example(1, -3, 3, 0)
 @example(7, -50, 2**63, 220)  # acceptance just over 1/2: batches run short
 @example(1729, -50, 100, 220)  # one phi trial's pairing coordinates
+# One draw takes the one-at-a-time loop: spans of 1, 2^k, 2^k + 1 and 2^64 - 1.
+@example(3, -1, 1, 1)
+@example(3, 0, 2**20, 1)
+@example(5, 7, 2**63 + 1, 1)
+@example(9, -(2**63), 2**64 - 1, 1)
+@example(11, 0, 9105, 1)  # a phi word letter: below(len(pool))
 def test_integers_and_below_match_reference(seed, lo, span, count):
     hi = lo + span
     fast, ref = SplitMix64(seed), SplitMix64(seed)

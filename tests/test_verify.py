@@ -227,6 +227,57 @@ class TestWordEvaluation:
             assert gen.matrix == reflection_matrix(lat.gram, gen.w)
 
 
+class TestHarvestChecks:
+    """The harvest checks every vector it keeps: T w = +-w, then w^2 = +-2 in Reflection."""
+
+    @pytest.fixture(autouse=True)
+    def real_pool_afterwards(self):
+        yield
+        verify._generator_pool.cache_clear()
+
+    @staticmethod
+    def shifted(basis: IntMatrix) -> IntMatrix:
+        """The basis with e_0 = (1, 0, ..., 0) added to its first column, which T does not fix."""
+        flat = list(basis.flat)
+        flat[0] += 1
+        return IntMatrix(basis.rows, basis.cols, flat)
+
+    def test_plus_one_basis_that_is_not_fixed_is_refused(self, monkeypatch):
+        basis, gram = verify._invariant_basis()
+        monkeypatch.setattr(verify, "_invariant_basis", lambda: (self.shifted(basis), gram))
+        with pytest.raises(RuntimeError, match=r"harvested vector is not a \+1-eigenvector of T"):
+            verify._generator_pool.__wrapped__()
+
+    def test_minus_one_basis_that_is_not_negated_is_refused(self, monkeypatch):
+        real = verify.fixed_sublattice
+
+        def shifted_sublattice(lattice, isometry, sign):
+            basis, gram = real(lattice, isometry, sign)
+            return self.shifted(basis), gram
+
+        monkeypatch.setattr(verify, "fixed_sublattice", shifted_sublattice)
+        with pytest.raises(RuntimeError, match=r"harvested vector is not a -1-eigenvector of T"):
+            verify._generator_pool.__wrapped__()
+
+    def test_wrong_square_is_refused_by_reflection(self, monkeypatch):
+        # 2 e_0 in basis coordinates is twice a T-fixed column: it passes the
+        # T check, and its square is a multiple of 4. As the lex-largest vector
+        # of the first scan, it is checked after every real hit of that scan.
+        real_scan = verify.short_vectors
+
+        def padded_scan(lattice, target, bound):
+            bad = (2,) + (0,) * (lattice.rank - 1)
+            return [tuple(-c for c in bad), *real_scan(lattice, target, bound), bad]
+
+        built = []
+        real_reflection = verify.Reflection
+        monkeypatch.setattr(verify, "short_vectors", padded_scan)
+        monkeypatch.setattr(verify, "Reflection", lambda lat, w: built.append(w) or real_reflection(lat, w))
+        with pytest.raises(ValueError, match="reflection vector must have square"):
+            verify._generator_pool.__wrapped__()
+        assert len(built) == TestWordEvaluation.SCAN_HITS[1, 2] // 2 + 1
+
+
 class TestPhiFailureReporting:
     # w = (1, e, 1) with e the first vector of the z3 block has square -2 and
     # <(0,0,1), w> = -1, so its reflection sends (0,0,1) to (-1, -e, 0): an odd
