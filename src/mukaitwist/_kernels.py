@@ -3,16 +3,16 @@
 Arbitrary precision throughout: ints in, ints out, or Fractions where a
 vector entry is a Fraction. Nothing overflows or truncates.
 
-``matvec``, ``bilinear`` and ``quadform`` read a matrix as its sparse rows
-(``IntMatrix.sparse_rows``): for each row, the (j, a_ij) pairs with
-a_ij != 0. The Gram matrices of the standard lattices have at most four
-nonzero entries per row (50 of 484 for mukai_h2), so a call costs a few
-products per coordinate, not a pass over every entry.
+``matvec``, ``bilinear`` and ``quadform`` take a matrix as its ``SparseRows``
+(``IntMatrix.sparse_rows``), for each row the (j, a_ij) pairs with a_ij != 0,
+and ``matvec`` returns a tuple. The Gram matrices of the standard lattices
+have at most four nonzero entries per row (50 of 484 for mukai_h2), so a call
+costs a few products per coordinate, not a pass over every entry.
 
 Each form runs as one straight-line expression compiled for its matrix,
 so no loop or pair is interpreted per call. For the rows of [[-2, 1], [1, -2]]:
 
-    matvec:   lambda v: [-2*v[0] + v[1], v[0] + -2*v[1]]
+    matvec:   lambda v: (-2*v[0] + v[1], v[0] + -2*v[1], )
     bilinear: lambda u, v: (u[0]*(-2*v[0] + v[1]) if u[0] else 0) + (u[1]*(v[0] + -2*v[1]) if u[1] else 0)
 
 The text holds only indices and int literals. A form is compiled on its
@@ -50,21 +50,13 @@ def matmul(a, b, n, k, m):
 
 
 def matvec(rows, v):
-    """A v for the matrix A with the given sparse rows -> list, one entry per row."""
-    try:
-        form = rows.matvec
-    except AttributeError:  # a plain tuple of rows, compiled for this call only
-        form = SparseRows(rows).matvec
-    return form(v)
+    """A v for the matrix A with the given SparseRows -> tuple, one entry per row."""
+    return rows.matvec(v)
 
 
 def bilinear(rows, u, v):
-    """u^T G v for the symmetric matrix G with the given sparse rows."""
-    try:
-        form = rows.bilinear
-    except AttributeError:  # a plain tuple of rows, compiled for this call only
-        form = SparseRows(rows).bilinear
-    return form(u, v)
+    """u^T G v for the symmetric matrix G with the given SparseRows."""
+    return rows.bilinear(u, v)
 
 
 def quadform(rows, v, _bilinear=bilinear):
@@ -115,7 +107,7 @@ def _dot(row):
 
 
 def _matvec_source(rows):
-    return f"lambda v: [{', '.join(map(_dot, rows))}]"
+    return f"lambda v: ({''.join(_dot(row) + ', ' for row in rows)})"
 
 
 def _bilinear_source(rows):

@@ -151,7 +151,7 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(_kernels.matvec(self.sparse_rows, tuple(v)))
+        return _kernels.matvec(self.sparse_rows, v)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:

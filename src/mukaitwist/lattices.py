@@ -225,7 +225,7 @@ class Reflection:
     def __init__(self, lattice: Lattice, w: Sequence[int]):
         lattice._check_length(w)
         w = tuple(w)
-        gw = lattice.gram.mul_vec(w)
+        gw = _kernels.matvec(lattice.gram.sparse_rows, w)
         n2 = sum(map(mul, w, gw))
         if n2 not in (2, -2):
             raise ValueError(f"reflection vector must have square +-2, got {n2}")

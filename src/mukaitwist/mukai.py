@@ -20,7 +20,8 @@ z3 = (1/2, 1/2); the twisted involution
 
 is integral and squares to the identity. Its one closed form is
 twisted_involution_coords, on the 24 coordinates; twisted_involution applies
-it to a MukaiVector and twisted_involution_matrix is its matrix.
+it to a MukaiVector. Both 24x24 matrices, of T and of the cover involution,
+are IntMatrix.of_map of their coordinate forms.
 """
 from __future__ import annotations
 
@@ -166,10 +167,14 @@ def mukai_pairing(u: MukaiVector, v: MukaiVector) -> Scalar:
     return full_lattice().inner(u.coords(), v.coords())
 
 
+def _cover_involution_coords(x: tuple) -> tuple:
+    """The cover involution on 24 coordinates: identity on r and s."""
+    return (x[0], *cover_involution_coords(x[1:23]), x[23])
+
+
 def cover_involution(v: MukaiVector) -> MukaiVector:
     """Extend the K3 cover involution by the identity on H0 and H4."""
-    x = v.coords()
-    return _vector((x[0], *cover_involution_coords(x[1:23]), x[23]))
+    return _vector(_cover_involution_coords(v.coords()))
 
 
 def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
@@ -215,19 +220,13 @@ def full_lattice() -> Lattice:
     return Lattice(IntMatrix.from_rows(rows), "mukai_full")
 
 
-def _full_isometry(f) -> Isometry:
-    """The isometry of the full lattice given by an integral map f on MukaiVectors."""
-    matrix = IntMatrix.of_map(lambda coords: f(MukaiVector.from_coords(coords)).coords(), FULL_RANK)
-    return Isometry(full_lattice(), matrix)
-
-
 @lru_cache(maxsize=None)
 def twisted_involution_matrix() -> Isometry:
     """The 24x24 integer matrix of the twisted involution, as an isometry."""
-    return _full_isometry(twisted_involution)
+    return Isometry(full_lattice(), IntMatrix.of_map(twisted_involution_coords, FULL_RANK))
 
 
 @lru_cache(maxsize=None)
 def cover_involution_matrix() -> Isometry:
     """The 24x24 matrix of the cover involution extended to the full lattice."""
-    return _full_isometry(cover_involution)
+    return Isometry(full_lattice(), IntMatrix.of_map(_cover_involution_coords, FULL_RANK))

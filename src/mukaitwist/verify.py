@@ -523,7 +523,7 @@ def _apply_word(word: list[Isometry | Reflection], v: tuple[int, ...]) -> tuple[
     """The product of the word's letters applied to v: the rightmost letter acts first."""
     for letter in reversed(word):
         v = letter(v)
-    return tuple(v)
+    return v
 
 
 def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_norm_scan
-from mukaitwist import IntMatrix, _kernels, full_lattice, standard_lattice
+from mukaitwist import IntMatrix, _kernels, cover_involution_h2, full_lattice, standard_lattice
+from mukaitwist.lattices import Reflection
 
 # Small entries, and entries next to 2^62 and 10^30, where fixed-width
 # arithmetic would overflow.
@@ -41,7 +42,7 @@ def vectors(length):
 def test_matvec_matches_dense_definition(data):
     a = data.draw(matrices())
     v = data.draw(vectors(len(a[0]) if a else 0))
-    want = [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    want = tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
     assert _kernels.matvec(sparse(a), v) == want
 
 
@@ -149,16 +150,17 @@ def test_dispatcher_falls_back_on_fractions():
 def test_empty_dimensions():
     assert _kernels.matmul((), (), 0, 0, 0) == []
     assert _kernels.matmul((), (), 2, 0, 0) in ([],)
-    assert _kernels.matvec((), ()) == []
-    assert _kernels.matvec(IntMatrix.zero(2, 0).sparse_rows, ()) == [0, 0]
-    assert _kernels.bilinear((), (), ()) == 0
+    empty = IntMatrix.zero(0, 0).sparse_rows
+    assert _kernels.matvec(empty, ()) == ()
+    assert _kernels.matvec(IntMatrix.zero(2, 0).sparse_rows, ()) == (0, 0)
+    assert _kernels.bilinear(empty, (), ()) == 0
 
 
 def test_dispatcher_rational_vectors_are_exact():
     half = Fraction(1, 2)
     rows = IntMatrix.from_rows([[2, 1], [1, 2]]).sparse_rows
     assert _kernels.quadform(rows, (half, 1)) == Fraction(7, 2)
-    assert _kernels.matvec(rows, (half, half)) == [Fraction(3, 2), Fraction(3, 2)]
+    assert _kernels.matvec(rows, (half, half)) == (Fraction(3, 2), Fraction(3, 2))
 
 
 # The compiled kernels against the dense definitions, in value and in type.
@@ -168,7 +170,7 @@ def test_dispatcher_rational_vectors_are_exact():
 
 
 def dense_matvec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v)) if row[j]) for row in a]
+    return tuple(sum(row[j] * v[j] for j in range(len(v)) if row[j]) for row in a)
 
 
 def dense_bilinear(g, u, v):
@@ -177,8 +179,8 @@ def dense_bilinear(g, u, v):
 
 
 def typed(x):
-    """A value with its type, or a list of them, so that == compares both."""
-    return [typed(e) for e in x] if isinstance(x, list) else (type(x), x)
+    """A value with its type, or a tuple's type and its entries', so that == compares both."""
+    return (tuple, [typed(e) for e in x]) if isinstance(x, tuple) else (type(x), x)
 
 
 def assert_kernels_match(a, u, v):
@@ -233,10 +235,34 @@ def test_each_matrix_compiles_each_form_once(monkeypatch):
     gram = IntMatrix.from_rows([[2, -1, 0], [-1, 2, 7], [0, 7, -4]])
     for k in range(5):
         u, v = (k, 1, -k), (3, k, 1)
-        assert gram.mul_vec(v) == tuple(dense_matvec(gram.to_rows(), v))
+        assert gram.mul_vec(v) == dense_matvec(gram.to_rows(), v)
         assert _kernels.bilinear(gram.sparse_rows, u, v) == dense_bilinear(gram.to_rows(), u, v)
         assert _kernels.quadform(gram.sparse_rows, v) == dense_bilinear(gram.to_rows(), v, v)
     assert [source.split(":")[0] for source in compiled] == ["lambda v", "lambda u, v"]
+
+
+def test_every_matvec_goes_through_the_module_binding(monkeypatch):
+    # perfbench's tracer counts kernel calls by rebinding _kernels.matvec
+    # wherever a loaded mukaitwist module binds it; a call that reached the
+    # compiled form another way would go uncounted.
+    real = _kernels.matvec
+    calls = []
+
+    def counted(rows, v):
+        calls.append(v)
+        return real(rows, v)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mukaitwist" or name.startswith("mukaitwist."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    lat, tau = standard_lattice("mukai_h2"), cover_involution_h2()
+    w = (0,) * 20 + (1, 1)
+    for act in (lambda: Reflection(lat, w), lambda: lat.gram.mul_vec(w), lambda: tau(w)):
+        calls.clear()
+        act()
+        assert calls == [w]
 
 
 def test_a_used_matrix_still_pickles():

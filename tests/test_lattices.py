@@ -23,7 +23,7 @@ from mukaitwist import (
     standard_lattice,
     twisted_involution_matrix,
 )
-from mukaitwist.lattices import cover_involution_h2, definiteness_from_signature
+from mukaitwist.lattices import Reflection, cover_involution_h2, definiteness_from_signature
 
 from conftest import descartes_signature, rational_det, rational_rank
 
@@ -239,6 +239,32 @@ class TestReflection:
     def test_invalid_square_rejected(self):
         with pytest.raises(ValueError):
             reflection(U, (1, 0))  # square 0
+
+    def test_wrong_length_rejected_naming_the_rank(self):
+        for w in ((1, 1, 0), [1]):
+            with pytest.raises(ValueError, match=r"^vector length \d != lattice rank 22$"):
+                Reflection(H2, w)
+
+
+class TestVectorsStayTuples:
+    """A matrix, an isometry and a reflection return tuples, for list or tuple input."""
+
+    W = (0,) * 20 + (1, 1)  # square 2, anti-fixed by the cover involution
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_results_are_tuples(self, container):
+        tau = cover_involution_h2()
+        sigma = Reflection(H2, container(self.W))
+        assert type(sigma.w) is tuple and sigma.w == self.W
+        rows = tau.matrix.to_rows()
+        orthogonal = (1,) + (0,) * 21  # sigma fixes it: nothing to subtract
+        for x in (tuple(range(22)), orthogonal, self.W):
+            want_tau = tuple(sum(a * c for a, c in zip(row, x)) for row in rows)
+            k = H2.inner(x, self.W)  # the coefficient 2 <x,w> / <w,w>, as w^2 = 2
+            want_sigma = tuple(c - k * wc for c, wc in zip(x, self.W))
+            for act, want in ((tau.matrix.mul_vec, want_tau), (tau, want_tau), (sigma, want_sigma)):
+                got = act(container(x))
+                assert type(got) is tuple and got == want
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mukaitwist.mukai as mukai
 from mukaitwist import (
     BField,
     IntMatrix,
@@ -244,6 +245,17 @@ class TestTwistedInvolutionMatrix:
 
     def test_is_isometry_of_full_lattice(self):
         assert is_isometry(full_lattice(), twisted_involution_matrix().matrix)
+
+    def test_matrices_are_built_without_mukai_vectors(self, monkeypatch):
+        # Both matrices come from the 24-coordinate closed forms alone.
+        builds = (twisted_involution_matrix, cover_involution_matrix)
+        cached = [build() for build in builds]
+        made = []
+        real_vector, real_init = mukai._vector, MukaiVector.__init__
+        monkeypatch.setattr(mukai, "_vector", lambda coords: made.append(coords) or real_vector(coords))
+        monkeypatch.setattr(MukaiVector, "__init__", lambda self, *args: made.append(args) or real_init(self, *args))
+        assert [build.__wrapped__() for build in builds] == cached
+        assert made == []
 
 
 class TestFullLattice:

@@ -34,7 +34,6 @@ from mukaitwist import (
 )
 from mukaitwist.lattices import Reflection
 from mukaitwist.prng import SplitMix64, mix64, substream
-from mukaitwist.prng import SplitMix64, mix64
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
 
@@ -208,6 +207,18 @@ class TestWordEvaluation:
         point = point_class().coords()
         assert verify._apply_word(word, point) == product.mul_vec(point)
         assert sample_equivariant_isometry(seed, length).matrix == product
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_words_return_tuples(self, container):
+        pool = verify._generator_pool()
+        point = point_class().coords()
+        # T, -1 and reflections, each as the first letter to act on the input.
+        for word in ([pool[2], pool[0]], [pool[0], pool[1]], [pool[1], pool[2]], [pool[-1]]):
+            product = IntMatrix.identity(24)
+            for letter in word:
+                product = product @ letter.matrix
+            got = verify._apply_word(word, container(point))
+            assert type(got) is tuple and got == product.mul_vec(point)
 
     def test_pool_size(self):
         assert len(verify._generator_pool()) == 9106
