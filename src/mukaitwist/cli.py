@@ -31,9 +31,9 @@ import os
 import sys
 import time
 
-from .intmat import determinant
+from .intmat import signature_and_det
 from .ktheory import CohomologySpec, SpecFormatError, e4_page
-from .lattices import definiteness_from_signature, signature, standard_lattice
+from .lattices import definiteness_from_signature, standard_lattice
 from .mukai import full_lattice
 from .verify import (
     DEFAULT_COORD_BOUND,
@@ -234,8 +234,7 @@ def _run_lattice_info(args) -> int:
         lattice = full_lattice()
     else:
         lattice = standard_lattice(args.name)
-    det = determinant(lattice.gram)
-    sig = signature(lattice.gram)
+    sig, det = signature_and_det(lattice.gram)
     defi = definiteness_from_signature(sig)
     even = lattice.is_even()
     doc = {

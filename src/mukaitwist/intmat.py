@@ -16,8 +16,9 @@ Both forms share one elimination, ``_hermite_rows``. The Smith form
 alternates Hermite forms of the rows and of the columns; reducing above
 every pivot on each pass keeps the entries of U and V small, where
 eliminating without that reduction lets them grow to thousands of digits.
-``determinant`` and ``signature`` share one fraction-free elimination,
-``_bareiss_step``, whose exact divisions keep every entry an integer.
+``determinant`` and ``signature_and_det`` share one fraction-free
+elimination, ``_bareiss_step``, whose exact divisions keep every entry an
+integer; ``signature`` reads the inertia of ``signature_and_det``.
 """
 from __future__ import annotations
 
@@ -346,8 +347,8 @@ def determinant(m: IntMatrix) -> int:
     return sign * d
 
 
-def signature(gram: IntMatrix) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_zero, n_minus), by the Bareiss step on symmetric pivots.
+def signature_and_det(gram: IntMatrix) -> tuple[tuple[int, int, int], int]:
+    """Inertia (n_plus, n_zero, n_minus) and determinant, by one Bareiss elimination.
 
     Each step pivots on the first nonzero diagonal entry. The remaining rows
     are prev times the Schur complement, which stays symmetric, so the pivot
@@ -355,6 +356,10 @@ def signature(gram: IntMatrix) -> tuple[int, int, int]:
     When the diagonal is all zero, adding row and column j to row and column
     k, a unimodular congruence, makes a_kk = 2 a_kj nonzero. What is left
     once every entry is zero is null.
+
+    Neither move changes the determinant: a symmetric pivot moves row k and
+    column k alike, and the congruence has determinant 1. So det is the last
+    pivot, or 0 when a null part is left.
     """
     if not gram.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
@@ -375,7 +380,12 @@ def signature(gram: IntMatrix) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
-    return pos, gram.rows - pos - neg, neg
+    return (pos, gram.rows - pos - neg, neg), 0 if a else d
+
+
+def signature(gram: IntMatrix) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_zero, n_minus) of a symmetric matrix; see signature_and_det."""
+    return signature_and_det(gram)[0]
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

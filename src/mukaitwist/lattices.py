@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 from . import _kernels
 from .intmat import IntMatrix, determinant, kernel_basis, signature
@@ -180,10 +180,15 @@ Z2_SLICE = slice(18, 20)
 Z3_SLICE = slice(20, 22)
 
 
+# The cover involution's permutation part: output coordinate k of its first
+# 20 copies input coordinate COVER_SWAP[k], that is (x, y, z1, z2) -> (y, x, z2, z1).
+COVER_SWAP = tuple(i for block in (Y_SLICE, X_SLICE, Z2_SLICE, Z1_SLICE) for i in range(22)[block])
+_cover_swap = itemgetter(*COVER_SWAP)
+
+
 def cover_involution_coords(c: tuple) -> tuple:
     """The K3 cover involution on mukai_h2 coordinates: (x,y,z1,z2,z3) -> (y,x,z2,z1,-z3)."""
-    z3 = c[Z3_SLICE]
-    return c[Y_SLICE] + c[X_SLICE] + c[Z2_SLICE] + c[Z1_SLICE] + (-z3[0], -z3[1])
+    return (*_cover_swap(c), -c[20], -c[21])
 
 
 @lru_cache(maxsize=None)

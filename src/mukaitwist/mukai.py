@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, itemgetter
 
 from .intmat import IntMatrix
-from .lattices import Isometry, Lattice, cover_involution_coords, standard_lattice
+from .lattices import COVER_SWAP, Isometry, Lattice, cover_involution_coords, standard_lattice
 
 # For annotations only, which are not evaluated: naming Fraction loads nothing.
 Scalar = "int | Fraction"
@@ -83,20 +83,8 @@ class MukaiVector:
     c = property(lambda self: self._coords[1:23])
     s = property(lambda self: self._coords[23])
 
-    def is_integral(self) -> bool:
-        return _INT_ONLY.issuperset(map(type, self._coords))
-
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return _vector(tuple(map(add, self._coords, other._coords)))
-
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return _vector(tuple(map(sub, self._coords, other._coords)))
-
-    def __neg__(self) -> "MukaiVector":
-        return _vector(tuple(map(neg, self._coords)))
-
-    def scale(self, k: Scalar) -> "MukaiVector":
-        return _vector(tuple(k * x for x in self._coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MukaiVector):
@@ -167,6 +155,10 @@ def mukai_pairing(u: MukaiVector, v: MukaiVector) -> Scalar:
     return full_lattice().inner(u.coords(), v.coords())
 
 
+# COVER_SWAP read on 24 coordinates, where c_i is coordinate i + 1.
+_cover_swap_c = itemgetter(*(i + 1 for i in COVER_SWAP))
+
+
 def _cover_involution_coords(x: tuple) -> tuple:
     """The cover involution on 24 coordinates: identity on r and s."""
     return (x[0], *cover_involution_coords(x[1:23]), x[23])
@@ -203,7 +195,7 @@ def twisted_involution_coords(x: tuple) -> tuple:
     is kept as an independent oracle in the test suite.
     """
     r, a, b = x[0], x[21], x[22]
-    return (r, *cover_involution_coords(x[1:23])[:20], r - a, r - b, x[23] - a - b + r)
+    return (r, *_cover_swap_c(x), r - a, r - b, x[23] - a - b + r)
 
 
 def twisted_involution(v: MukaiVector) -> MukaiVector:

@@ -38,6 +38,12 @@ A falsified congruence is data, not an exception: the report carries the
 first counterexample, with enough coordinates to re-evaluate the failed
 identity independently.
 
+The trial cases compute on plain 24-tuples (r, c_1..c_22, s) of ints and
+build no MukaiVector: T is mukai.twisted_involution_coords, its one closed
+form, and every pairing is _pairing, the bilinear form of full_lattice()'s
+Gram. Those two names are the seam through which the checks meet T and the
+Gram, so a wrong T or a wrong Gram fails a check.
+
 Checks:
 
 * square congruence -- (l + Tl)^2 = 0 mod 4 for degree-2 classes l, plus
@@ -65,7 +71,7 @@ import os
 import time
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
-from operator import neg
+from operator import add, neg
 
 from .intmat import IntMatrix, determinant, solve
 from .lattices import (
@@ -82,17 +88,7 @@ from .lattices import (
     short_vectors,
     standard_lattice,
 )
-from .mukai import (
-    FULL_RANK,
-    H2_RANK,
-    MukaiVector,
-    full_lattice,
-    mukai_pairing,
-    point_class,
-    twisted_involution,
-    twisted_involution_coords,
-    twisted_involution_matrix,
-)
+from .mukai import FULL_RANK, H2_RANK, full_lattice, twisted_involution_coords, twisted_involution_matrix
 from .prng import SplitMix64, mix64, substream
 
 DEFAULT_SEED = 1729
@@ -298,15 +294,29 @@ def _h2_blocks(coords: tuple[int, ...]):
     return coords[X_SLICE], coords[Y_SLICE], coords[Z1_SLICE], coords[Z2_SLICE], coords[Z3_SLICE]
 
 
+# (0, 0, 1), the H4 generator, on the 24 coordinates (r, c_1..c_22, s).
+_POINT = (0,) * (FULL_RANK - 1) + (1,)
+
+
+def _pairing(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """<u, v> on 24 coordinates by the Gram of full_lattice(); every trial case pairs through it."""
+    return full_lattice().inner(u, v)
+
+
+def _doubled(ell: tuple[int, ...]) -> tuple[int, ...]:
+    """l + Tl on 24 coordinates, for the degree-2 class l = (0, ell, 0)."""
+    v = (0, *ell, 0)
+    return tuple(map(add, v, twisted_involution_coords(v)))
+
+
 def _square_congruence_case(ell: tuple[int, ...]) -> dict | None:
     """One claim-1 instance; returns a counterexample dict or None."""
     minus_e8 = standard_lattice("minus_e8")
     u_lat = standard_lattice("u")
     h2 = standard_lattice("mukai_h2")
 
-    vec = MukaiVector.from_h2(ell)
-    doubled = vec + twisted_involution(vec)
-    square = mukai_pairing(doubled, doubled)
+    doubled = _doubled(ell)
+    square = _pairing(doubled, doubled)
     tau_ell = cover_involution_h2()(ell)
     pair_tau = h2.inner(ell, tau_ell)
     x, y, z1, z2, z3 = _h2_blocks(ell)
@@ -365,9 +375,9 @@ def _invariant_basis() -> tuple[IntMatrix, IntMatrix]:
     return fixed_sublattice(full_lattice(), twisted_involution_matrix(), 1)
 
 
-def _invariant_from_parameters(a: int, x: tuple[int, ...], z1: tuple[int, ...], s: int) -> MukaiVector:
-    """The closed-form T-invariant vector (2a, (x, x, z1, z1, (a, a)), s)."""
-    return MukaiVector(2 * a, x + x + z1 + z1 + (a, a), s)
+def _invariant_from_parameters(a: int, x: tuple[int, ...], z1: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The closed-form T-invariant vector (2a, (x, x, z1, z1, (a, a)), s), on 24 coordinates."""
+    return (2 * a, *x, *x, *z1, *z1, a, a, s)
 
 
 def _characteristic_results(cfg: TrialConfig, trials):
@@ -375,7 +385,6 @@ def _characteristic_results(cfg: TrialConfig, trials):
     u_lat = standard_lattice("u")
     basis, _ = _invariant_basis()
     n_basis = basis.cols
-    point = point_class()
     b = cfg.coord_bound
     for trial in trials:
         # Every draw of the trial comes from [-b, b], so one call draws them
@@ -385,12 +394,12 @@ def _characteristic_results(cfg: TrialConfig, trials):
         # Sampler (i): closed-form parametrization.
         a, x, z1, s = draws[0], draws[1:9], draws[9:11], draws[11]
         v = _invariant_from_parameters(a, x, z1, s)
-        pair = mukai_pairing(point, v)
-        vsq = mukai_pairing(v, v)
+        pair = _pairing(_POINT, v)
+        vsq = _pairing(v, v)
         closed_pair = -2 * a
         closed_sq = 2 * minus_e8.norm(x) + 2 * u_lat.norm(z1) + 2 * a * a - 4 * a * s
         problems = []
-        if twisted_involution(v) != v:
+        if twisted_involution_coords(v) != v:
             problems.append("parametrized vector is not T-invariant")
         if pair != closed_pair:
             problems.append("pairing disagrees with closed form -2a")
@@ -410,11 +419,11 @@ def _characteristic_results(cfg: TrialConfig, trials):
 
         # Sampler (ii): random combination of the computed kernel basis of T - 1.
         coeffs = draws[12:]
-        w = MukaiVector.from_coords(basis.mul_vec(coeffs))
-        pair_w = mukai_pairing(point, w)
-        wsq = mukai_pairing(w, w)
+        w = basis.mul_vec(coeffs)
+        pair_w = _pairing(_POINT, w)
+        wsq = _pairing(w, w)
         problems = []
-        if twisted_involution(w) != w:
+        if twisted_involution_coords(w) != w:
             problems.append("kernel-basis vector is not T-invariant")
         if (pair_w - wsq) % 4 != 0:
             problems.append("congruence fails")
@@ -422,7 +431,7 @@ def _characteristic_results(cfg: TrialConfig, trials):
             yield {
                 "source": f"kernel-basis sampler, trial {trial}",
                 "coefficients": list(coeffs),
-                "vector": list(w.coords()),
+                "vector": list(w),
                 "pairing": pair_w,
                 "square": wsq,
                 "problems": problems,
@@ -448,7 +457,7 @@ def _invariant_lattice_results():
     yield {"reason": "half form is not unimodular", "det": half_det} if half_det not in (1, -1) else None
     even_half = all(half[i, i] % 2 == 0 for i in range(half.rows))
     yield {"reason": "half form is even; expected an odd form"} if even_half else None
-    point_coords = solve(basis, point_class().coords())
+    point_coords = solve(basis, _POINT)
     if point_coords is None:
         yield {"reason": "(0,0,1) is not in the computed invariant lattice"}
         return
@@ -551,12 +560,11 @@ STRENGTHENED_PAIRINGS_PER_TRIAL = 10
 
 
 def _phi_results(cfg: TrialConfig, trials, word_length: int):
-    point = point_class()
     for trial in trials:
         rng = substream(cfg.seed, trial)
         length = rng.below(word_length + 1)
         word_seed = rng.next_u64()
-        image = _apply_word(_sample_word(word_seed, length), point.coords())
+        image = _apply_word(_sample_word(word_seed, length), _POINT)
         degree2 = image[1:23]
         if any(c % 2 for c in degree2):
             yield {
@@ -567,19 +575,17 @@ def _phi_results(cfg: TrialConfig, trials, word_length: int):
                 "odd_degree2_indices": [i for i, c in enumerate(degree2) if c % 2],
             }
             continue
-        image_vec = MukaiVector.from_coords(image)
         coords = rng.integers(-cfg.coord_bound, cfg.coord_bound, STRENGTHENED_PAIRINGS_PER_TRIAL * H2_RANK)
         for k in range(STRENGTHENED_PAIRINGS_PER_TRIAL):
-            ell = MukaiVector.from_h2(coords[k * H2_RANK : (k + 1) * H2_RANK])
-            doubled = ell + twisted_involution(ell)
-            pairing = mukai_pairing(image_vec, doubled)
+            ell = coords[k * H2_RANK : (k + 1) * H2_RANK]
+            pairing = _pairing(image, _doubled(ell))
             if pairing % 4:
                 yield {
                     "source": f"trial {trial}, pairing {k}",
                     "word_seed": word_seed,
                     "word_length": length,
                     "image": list(image),
-                    "ell": list(ell.c),
+                    "ell": list(ell),
                     "pairing": pairing,
                     "pairing_mod_4": pairing % 4,
                 }

@@ -180,22 +180,27 @@ class TestLatticeCommand:
 
     @pytest.mark.parametrize("name", ["minus-e8", "mukai-full"])
     def test_signature_computed_once(self, capsys, monkeypatch, name):
+        import mukaitwist.intmat as intmat
         import mukaitwist.lattices as lattices
 
         calls = []
-        real = lattices.signature
+        real = intmat.signature_and_det
 
         def counted(gram):
             calls.append(gram)
             return real(gram)
 
-        monkeypatch.setattr(lattices, "signature", counted)
-        monkeypatch.setattr("mukaitwist.cli.signature", counted)
+        # One elimination gives both the signature and det: no other runs.
+        monkeypatch.setattr("mukaitwist.cli.signature_and_det", counted)
+        for module in (intmat, lattices):
+            for attr in ("signature", "determinant"):
+                monkeypatch.setattr(module, attr, lambda gram: pytest.fail("a second elimination ran"))
         code, doc, _ = run_json(capsys, "lattice", "info", "--name", name, "--json")
         assert code == 0
         assert len(calls) == 1
         monkeypatch.undo()
         assert doc["result"]["definiteness"] == lattices.definiteness(calls[0])
+        assert doc["result"]["det"] == lattices.determinant(calls[0])
 
     def test_unknown_name_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

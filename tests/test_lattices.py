@@ -23,6 +23,7 @@ from mukaitwist import (
     standard_lattice,
     twisted_involution_matrix,
 )
+from mukaitwist.intmat import signature_and_det
 from mukaitwist.lattices import Reflection, cover_involution_h2, definiteness_from_signature
 
 from conftest import descartes_signature, rational_det, rational_rank
@@ -339,6 +340,49 @@ def symmetric_matrices(draw, max_n=5):
         for j in range(i + zero_diagonal, n):
             rows[i][j] = rows[j][i] = draw(entry)
     return IntMatrix(n, n, [x for row in rows for x in row])
+
+
+class TestSignatureAndDet:
+    """One elimination gives the inertia and the determinant."""
+
+    @settings(max_examples=300)
+    @given(symmetric_matrices())
+    def test_matches_signature_and_determinant(self, g):
+        sig, det = signature_and_det(g)
+        assert sig == signature(g) == descartes_signature(g)
+        assert det == determinant(g) == rational_det(g)
+
+    def test_zero_diagonal_inputs(self):
+        # Every pivot of these starts from the congruence step.
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            rows = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, -2))
+            g = IntMatrix.from_rows(rows)
+            sig, det = signature_and_det(g)
+            assert sig == descartes_signature(g)
+            assert det == determinant(g) == rational_det(g)
+
+    @pytest.mark.parametrize("name", ["u", "e8", "minus_e8", "enriques_h2", "mukai_h2", "full", "invariant"])
+    def test_named_lattices(self, name):
+        if name == "full":
+            g = full_lattice().gram
+        elif name == "invariant":
+            _, g = fixed_sublattice(full_lattice(), twisted_involution_matrix(), 1)
+        else:
+            g = standard_lattice(name).gram
+        assert signature_and_det(g) == (signature(g), determinant(g))
+
+    def test_empty_and_degenerate(self):
+        assert signature_and_det(IntMatrix.zero(0, 0)) == ((0, 0, 0), 1)
+        assert signature_and_det(IntMatrix.from_rows([[0, 0], [0, 1]])) == ((1, 1, 0), 0)
+        assert signature_and_det(IntMatrix.from_rows([[0, 1], [1, 0]])) == ((1, 0, 1), -1)
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            signature_and_det(IntMatrix.from_rows([[0, 1], [0, 0]]))
 
 
 class TestSignature:

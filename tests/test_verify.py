@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+import mukaitwist.mukai as mukai
 import mukaitwist.verify as verify
 from conftest import reflection_matrix
 from mukaitwist import (
@@ -36,6 +37,25 @@ from mukaitwist.lattices import Reflection
 from mukaitwist.prng import SplitMix64, mix64, substream
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
+
+
+# The sampled checks pair and twist 24-tuples through one seam in verify,
+# _pairing and twisted_involution_coords, which the fault-injection tests break.
+def _shift_twist(monkeypatch, moved):
+    """T plus (1, 0, ..., 0) on the vectors whose 24 coordinates satisfy moved."""
+    twist = verify.twisted_involution_coords
+
+    def shifted(x):
+        t = twist(x)
+        return (t[0] + int(moved(x)), *t[1:])
+
+    monkeypatch.setattr(verify, "twisted_involution_coords", shifted)
+
+
+def _shift_pairing(monkeypatch, shift):
+    """Every pairing of the sampled checks plus shift(), evaluated once per pairing."""
+    pairing = verify._pairing
+    monkeypatch.setattr(verify, "_pairing", lambda u, v: pairing(u, v) + shift())
 
 
 class TestSquareCongruence:
@@ -80,7 +100,7 @@ class TestCharacteristicCongruence:
 
     def test_golden_example(self):
         # a=1, x=0, z1=0, s=0: square 2, pairing -2, congruent mod 4
-        v = verify._invariant_from_parameters(1, (0,) * 8, (0, 0), 0)
+        v = MukaiVector.from_coords(verify._invariant_from_parameters(1, (0,) * 8, (0, 0), 0))
         assert mukai_pairing(v, v) == 2
         assert mukai_pairing(point_class(), v) == -2
         assert twisted_involution(v) == v
@@ -316,8 +336,7 @@ class TestTrialDraws:
     CFG = TrialConfig(trials=3, seed=11, coord_bound=50)
 
     def test_parametrized_sampler_draws(self, monkeypatch):
-        twist = verify.twisted_involution
-        monkeypatch.setattr(verify, "twisted_involution", lambda v: twist(v) + MukaiVector(1, (0,) * 22, 0))
+        _shift_twist(monkeypatch, lambda x: True)
         for trial, ce in enumerate(verify._characteristic_results(self.CFG, range(3))):
             rng = substream(self.CFG.seed, trial)
             a, x, z1, s = rng.integer(-50, 50), rng.integers(-50, 50, 8), rng.integers(-50, 50, 2), rng.integer(-50, 50)
@@ -336,9 +355,8 @@ class TestTrialDraws:
 
     def test_phi_pairing_draws(self, monkeypatch):
         calls = []
-        pairing = verify.mukai_pairing
         # The last pairing of trial 0 is off by one.
-        monkeypatch.setattr(verify, "mukai_pairing", lambda u, v: pairing(u, v) + (len(calls.append(0) or calls) == 10))
+        _shift_pairing(monkeypatch, lambda: len(calls.append(0) or calls) == 10)
         (ce,) = verify._phi_results(self.CFG, [0], 4)
         rng = substream(self.CFG.seed, 0)
         length, word_seed = rng.below(5), rng.next_u64()
@@ -367,7 +385,7 @@ class TestCongruenceTransport:
                 rng.randint(-20, 20),
             )
             image_point = MukaiVector.from_coords(phi(point_class().coords()))
-            image_v = MukaiVector.from_coords(phi(v.coords()))
+            image_v = MukaiVector.from_coords(phi(v))
             assert twisted_involution(image_v) == image_v  # invariance transported
             pair = mukai_pairing(image_point, image_v)
             assert (pair - mukai_pairing(image_v, image_v)) % 4 == 0
@@ -485,6 +503,96 @@ class TestFailureReporting:
         assert "counterexample" in report.check_json()
 
 
+class TestCounterexamplePins:
+    """The whole JSON entry of each sampled failure kind: keys in order, then every value."""
+
+    CFG = TrialConfig(trials=50, seed=0)
+
+    def test_parametrized_sampler_counterexample_is_pinned(self, monkeypatch):
+        # T moved off every vector, and every pairing off by one: three of the four problems.
+        _shift_twist(monkeypatch, lambda x: True)
+        _shift_pairing(monkeypatch, lambda: 1)
+        report = verify_characteristic_congruence(self.CFG)
+        assert json.dumps(report.check_json()) == (
+            '{"name": "characteristic-congruence", "passed": false, "trials_run": 1, "counterexample": '
+            '{"source": "parametrized sampler, trial 0", '
+            '"parameters": {"a": 5, "x": [-47, -37, -9, -28, 48, -19, 0, 47], "z1": [17, 21], "s": 40}, '
+            '"pairing": -9, "square": -27293, "problems": ["parametrized vector is not T-invariant", '
+            '"pairing disagrees with closed form -2a", "square disagrees with closed form"]}}'
+        )
+
+    def test_kernel_basis_sampler_counterexample_is_pinned(self, monkeypatch):
+        # A basis of 12 unit vectors: sampler (i) passes, and sampler (ii)'s
+        # combination is neither T-invariant nor congruent.
+        units = IntMatrix(24, 12, [int(i == j) for i in range(24) for j in range(12)])
+        monkeypatch.setattr(verify, "_invariant_basis", lambda: (units, None))
+        report = verify_characteristic_congruence(self.CFG)
+        assert json.dumps(report.check_json()) == (
+            '{"name": "characteristic-congruence", "passed": false, "trials_run": 1, "counterexample": '
+            '{"source": "kernel-basis sampler, trial 0", '
+            '"coefficients": [16, 12, 47, -24, 34, -8, 23, 2, -18, 31, -23, -44], '
+            '"vector": [16, 12, 47, -24, 34, -8, 23, 2, -18, 31, -23, -44, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+            '"pairing": -16, "square": -19558, '
+            '"problems": ["kernel-basis vector is not T-invariant", "congruence fails"]}}'
+        )
+
+    def test_strengthened_pairing_counterexample_is_pinned(self, monkeypatch):
+        # Swapping r and s is an isometry with an even image of (0,0,1), namely
+        # (1, 0, 0); its pairing with l + Tl is a + b, for (a, b) the z3 block of l.
+        swap = Isometry(full_lattice(), IntMatrix.of_map(lambda v: (v[23], *v[1:23], v[0]), 24))
+        monkeypatch.setattr(verify, "_generator_pool", lambda: (swap,))
+        report = verify_phi_integrality(self.CFG, word_length=4)
+        assert json.dumps(report.check_json()) == (
+            '{"name": "phi-integrality", "passed": false, "trials_run": 1, "counterexample": '
+            '{"source": "trial 0, pairing 0", "word_seed": 487617019471545679, "word_length": 3, '
+            '"image": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+            '"ell": [-37, -9, -28, 48, -19, 0, 47, 17, 21, 40, 16, 12, 47, -24, 34, -8, 23, 2, -18, 31, -23, -44], '
+            '"pairing": -67, "pairing_mod_4": 1}}'
+        )
+
+
+class TestTupleRoute:
+    """The trial cases run on 24-tuples through twisted_involution_coords and the full Gram."""
+
+    def test_untwisted_involution_fails_the_characteristic_check(self, monkeypatch):
+        # The cover involution alone negates the z3 block (a, a) of a closed-form vector.
+        monkeypatch.setattr(verify, "twisted_involution_coords", mukai._cover_involution_coords)
+        report = verify_characteristic_congruence(TrialConfig(trials=50, seed=0))
+        assert not report.passed and report.trials_run == 1
+        ce = report.counterexample
+        assert ce["source"] == "parametrized sampler, trial 0"
+        assert ce["problems"] == ["parametrized vector is not T-invariant"]
+
+    def test_wrong_full_gram_fails_the_square_check(self, monkeypatch):
+        # H4 made positive: (0,0,1)^2 = 1, so (l + Tl)^2 gains (a + b)^2 for l's z3 block (a, b).
+        rows = full_lattice().gram.to_rows()
+        rows[23][23] = 1
+        wrong = Lattice(IntMatrix.from_rows(rows), "wrong")
+        monkeypatch.setattr(verify, "full_lattice", lambda: wrong)
+        report = verify_square_congruence(TrialConfig(trials=50, seed=0))
+        assert not report.passed
+        ce = report.counterexample
+        a, b = ce["ell"][20:]
+        assert (a + b) % 2 == 1 and ce["square_mod_4"] != 0
+        assert ce["pairing_with_involution"] == ce["block_formula"]
+        monkeypatch.undo()
+        assert verify._square_congruence_case(tuple(ce["ell"])) is None
+
+    def test_trial_cases_build_no_mukai_vector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trial case built a MukaiVector")
+
+        monkeypatch.setattr(mukai, "_vector", refuse)
+        monkeypatch.setattr(MukaiVector, "__init__", refuse)
+        cfg = TrialConfig(trials=50)
+        assert all(report.passed for report in verify.run_claims_suite(cfg, jobs=1))
+        assert verify_phi_integrality(cfg).passed
+
+    def test_closed_form_is_a_tuple(self):
+        v = verify._invariant_from_parameters(1, tuple(range(8)), (8, 9), 10)
+        assert v == (2, *range(8), *range(8), 8, 9, 8, 9, 1, 1, 10)
+
+
 class TestTrialConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -579,12 +687,7 @@ def _break_square(monkeypatch):
 
 def _break_characteristic(monkeypatch):
     """T moved off vectors whose s is divisible by 3, from either sampler."""
-    twist = verify.twisted_involution
-
-    def moved(v):
-        return twist(v) + MukaiVector(int(v.s % 3 == 0), (0,) * 22, 0)
-
-    monkeypatch.setattr(verify, "twisted_involution", moved)
+    _shift_twist(monkeypatch, lambda x: x[23] % 3 == 0)
 
 
 def _break_phi(monkeypatch):
@@ -642,16 +745,8 @@ class TestOrderIndependence:
     @pytest.mark.parametrize("k", [0, 23, 39])
     def test_one_failing_trial_merges_to_the_serial_report(self, monkeypatch, check, k):
         results, run_serially, _ = ORDER_CASES[check]
-        trial = [None]
-        draw, pairing = verify.substream, verify.mukai_pairing
-
-        def spy(seed, index):
-            trial[0] = index
-            return draw(seed, index)
-
         # Every pairing in trial k is off by one, which each of the three checks reports.
-        monkeypatch.setattr(verify, "substream", spy)
-        monkeypatch.setattr(verify, "mukai_pairing", lambda u, v: pairing(u, v) + (trial[0] == k))
+        _fail_trial(monkeypatch, k)
         serial = run_serially(ORDER_CFG)
         assert serial.trials_run == k + 1
         for chunks in _orders(ORDER_CFG.trials).values():
@@ -672,7 +767,7 @@ class TestOrderIndependence:
 def _fail_trial(monkeypatch, k: int, error: type[BaseException] | None = None) -> None:
     """Every pairing in trial k is off by one, or, given an error, drawing trial k raises it."""
     trial = [None]
-    draw, pairing = verify.substream, verify.mukai_pairing
+    draw = verify.substream
 
     def spy(seed, index):
         if index == k and error is not None:
@@ -681,7 +776,7 @@ def _fail_trial(monkeypatch, k: int, error: type[BaseException] | None = None) -
         return draw(seed, index)
 
     monkeypatch.setattr(verify, "substream", spy)
-    monkeypatch.setattr(verify, "mukai_pairing", lambda u, v: pairing(u, v) + (trial[0] == k))
+    _shift_pairing(monkeypatch, lambda: trial[0] == k)
 
 
 def _no_child_left():
