@@ -353,13 +353,18 @@ def signature_and_det(gram: IntMatrix) -> tuple[tuple[int, int, int], int]:
     Each step pivots on the first nonzero diagonal entry. The remaining rows
     are prev times the Schur complement, which stays symmetric, so the pivot
     of the complement, d / prev, is positive when d and prev have one sign.
-    When the diagonal is all zero, adding row and column j to row and column
-    k, a unimodular congruence, makes a_kk = 2 a_kj nonzero. What is left
-    once every entry is zero is null.
+    What is left once every entry is zero is null.
 
-    Neither move changes the determinant: a symmetric pivot moves row k and
-    column k alike, and the congruence has determinant 1. So det is the last
-    pivot, or 0 when a null part is left.
+    When the diagonal is all zero, take the first nonzero row k, its first
+    nonzero column j > k and c = a_kj, and add row j to row k alone. Then
+    a_kk = c, and the complement's diagonal, -a_ik (a_ik + a_ij) / c, is 0
+    before j and -c at j, so j pivots next. The two pivots count the signs of
+    c and -c, the inertia of the block [[0, c], [c, 0]] on k and j. The row
+    move stays within the block's rows, so what is left is the symmetric
+    matrix's own Schur complement of the block (Haynsworth's additivity).
+
+    No move changes det and each entry stays a minor of the row-moved input,
+    so divisions are exact; det is the last pivot, or 0 if a null part is left.
     """
     if not gram.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
@@ -373,8 +378,6 @@ def signature_and_det(gram: IntMatrix) -> tuple[tuple[int, int, int], int]:
             if k is None:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[j])]
-            for row in a:
-                row[k] += row[j]
         prev, d = d, _bareiss_step(a, k, k, d)
         if (d > 0) == (prev > 0):
             pos += 1

@@ -22,6 +22,7 @@ is integral and squares to the identity. Its one closed form is
 twisted_involution_coords, on the 24 coordinates; twisted_involution applies
 it to a MukaiVector. Both 24x24 matrices, of T and of the cover involution,
 are IntMatrix.of_map of their coordinate forms.
+MukaiVector has one constructor: every vector passes through its __init__.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ class MukaiVector:
     def from_coords(cls, coords: Sequence[Scalar]) -> "MukaiVector":
         if len(coords) != FULL_RANK:
             raise ValueError(f"expected {FULL_RANK} coordinates, got {len(coords)}")
-        return _vector(tuple(coords))
+        return cls(coords[0], coords[1:23], coords[23])
 
     def coords(self) -> tuple[Scalar, ...]:
         return self._coords
@@ -84,7 +85,7 @@ class MukaiVector:
     s = property(lambda self: self._coords[23])
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return _vector(tuple(map(add, self._coords, other._coords)))
+        return MukaiVector.from_coords(tuple(map(add, self._coords, other._coords)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MukaiVector):
@@ -96,13 +97,6 @@ class MukaiVector:
 
     def __repr__(self) -> str:
         return f"MukaiVector(r={self.r}, c={self.c}, s={self.s})"
-
-
-def _vector(coords: tuple) -> MukaiVector:
-    """The vector with these 24 coordinates, normalised as in MukaiVector(); callers pass 24."""
-    v = object.__new__(MukaiVector)
-    v._coords = coords if _INT_ONLY.issuperset(map(type, coords)) else tuple(map(_norm_scalar, coords))
-    return v
 
 
 def point_class() -> MukaiVector:
@@ -166,7 +160,7 @@ def _cover_involution_coords(x: tuple) -> tuple:
 
 def cover_involution(v: MukaiVector) -> MukaiVector:
     """Extend the K3 cover involution by the identity on H0 and H4."""
-    return _vector(_cover_involution_coords(v.coords()))
+    return MukaiVector.from_coords(_cover_involution_coords(v.coords()))
 
 
 def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
@@ -179,7 +173,7 @@ def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
     r, c = x[0], x[1:23]
     cb = standard_lattice("mukai_h2").inner(c, b.coords)
     half_sq = _norm_scalar(Fraction(b.square(), 2))
-    return _vector((r, *(ci + r * bi for ci, bi in zip(c, b.coords)), x[23] + cb + r * half_sq))
+    return MukaiVector(r, [ci + r * bi for ci, bi in zip(c, b.coords)], x[23] + cb + r * half_sq)
 
 
 def twisted_involution_coords(x: tuple) -> tuple:
@@ -200,7 +194,7 @@ def twisted_involution_coords(x: tuple) -> tuple:
 
 def twisted_involution(v: MukaiVector) -> MukaiVector:
     """T applied to a Mukai vector; see twisted_involution_coords."""
-    return _vector(twisted_involution_coords(v.coords()))
+    return MukaiVector.from_coords(twisted_involution_coords(v.coords()))
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,10 @@ kept and the state ends just after the last one kept, exactly where the
 one-at-a-time loop would leave it; when a batch accepts too few, the next
 batch starts where it ended. So integers(lo, hi, a + b) is
 integers(lo, hi, a) + integers(lo, hi, b), with the same final state.
+
+A batch holds the expected number of candidates plus need // 8 + 2. Each
+lane adds big-int work to every call, so a margin wide enough for one batch
+nearly always costs more than the small second batches it saves.
 """
 from __future__ import annotations
 
@@ -101,8 +105,7 @@ class SplitMix64:
         out = []
         while True:
             need = count - len(out)
-            # The expected number of candidates, and a margin so that one
-            # batch is usually enough.
+            # The expected number of candidates and a margin; see the module doc.
             m = min((need << bits) // n + need // 8 + 2, _MAX_LANES)
             ones, ramp, mask, unpack = _lanes(m)
             z = (state * ones + ramp) & mask  # lane k: state + (k + 1) GAMMA

@@ -38,11 +38,11 @@ A falsified congruence is data, not an exception: the report carries the
 first counterexample, with enough coordinates to re-evaluate the failed
 identity independently.
 
-The trial cases compute on plain 24-tuples (r, c_1..c_22, s) of ints and
-build no MukaiVector: T is mukai.twisted_involution_coords, its one closed
-form, and every pairing is _pairing, the bilinear form of full_lattice()'s
-Gram. Those two names are the seam through which the checks meet T and the
-Gram, so a wrong T or a wrong Gram fails a check.
+The trial cases compute on plain tuples of ints and build no MukaiVector.
+Apart from the letters of the phi words, T and the cover involution act by
+their closed forms, twisted_involution_coords and cover_involution_coords,
+and every pairing of 24-tuples is _pairing, by full_lattice()'s Gram. Those
+three names are the seam through which the checks meet the maps and the Gram.
 
 Checks:
 
@@ -83,7 +83,7 @@ from .lattices import (
     Z1_SLICE,
     Z2_SLICE,
     Z3_SLICE,
-    cover_involution_h2,
+    cover_involution_coords,
     fixed_sublattice,
     short_vectors,
     standard_lattice,
@@ -317,8 +317,7 @@ def _square_congruence_case(ell: tuple[int, ...]) -> dict | None:
 
     doubled = _doubled(ell)
     square = _pairing(doubled, doubled)
-    tau_ell = cover_involution_h2()(ell)
-    pair_tau = h2.inner(ell, tau_ell)
+    pair_tau = h2.inner(ell, cover_involution_coords(ell))
     x, y, z1, z2, z3 = _h2_blocks(ell)
     block_formula = 2 * minus_e8.inner(x, y) + 2 * u_lat.inner(z1, z2) - u_lat.norm(z3)
     if square % 4 == 0 and pair_tau == block_formula:

@@ -385,6 +385,19 @@ class TestSignatureAndDet:
             signature_and_det(IntMatrix.from_rows([[0, 1], [0, 0]]))
 
 
+def test_signature_and_det_on_every_small_symmetric_matrix():
+    # All 15,755 with n <= 3 and entries in [-2, 2]: each zero-diagonal
+    # pattern, and each sign of the entry that starts the row move.
+    for n in range(1, 4):
+        places = list(itertools.combinations_with_replacement(range(n), 2))
+        for entries in itertools.product(range(-2, 3), repeat=len(places)):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), x in zip(places, entries):
+                rows[i][j] = rows[j][i] = x
+            g = IntMatrix.from_rows(rows)
+            assert signature_and_det(g) == (descartes_signature(g), determinant(g))
+
+
 class TestSignature:
     @settings(max_examples=300)
     @given(symmetric_matrices())

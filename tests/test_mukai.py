@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mukaitwist.mukai as mukai
 from mukaitwist import (
     BField,
     IntMatrix,
@@ -251,8 +250,7 @@ class TestTwistedInvolutionMatrix:
         builds = (twisted_involution_matrix, cover_involution_matrix)
         cached = [build() for build in builds]
         made = []
-        real_vector, real_init = mukai._vector, MukaiVector.__init__
-        monkeypatch.setattr(mukai, "_vector", lambda coords: made.append(coords) or real_vector(coords))
+        real_init = MukaiVector.__init__
         monkeypatch.setattr(MukaiVector, "__init__", lambda self, *args: made.append(args) or real_init(self, *args))
         assert [build.__wrapped__() for build in builds] == cached
         assert made == []
@@ -422,6 +420,28 @@ class TestMukaiVector:
         assert v != v.coords() and v.coords() != v
         assert hash(v) != hash(v.coords())
         assert len({v, v.coords(), MukaiVector.from_coords(v.coords())}) == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: MukaiVector.from_coords(v.coords()),
+            lambda v: MukaiVector.from_h2(v.c),
+            lambda v: v + v,
+            lambda v: point_class(),
+            twisted_involution,
+            cover_involution,
+            lambda v: exp_b(canonical_b_field(), v),
+        ],
+        ids=["from_coords", "from_h2", "add", "point_class", "twisted_involution", "cover_involution", "exp_b"],
+    )
+    def test_one_constructor(self, monkeypatch, build):
+        # Every route to a vector passes through __init__, once.
+        v = MukaiVector(3, tuple(range(22)), -4)
+        made = []
+        real_init = MukaiVector.__init__
+        monkeypatch.setattr(MukaiVector, "__init__", lambda self, *args: made.append(args) or real_init(self, *args))
+        out = build(v)
+        assert type(out) is MukaiVector and len(made) == 1
 
     def test_from_coords_validates(self):
         with pytest.raises(ValueError, match="24 coordinates"):

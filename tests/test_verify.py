@@ -4,7 +4,11 @@ import json
 import os
 import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +37,7 @@ from mukaitwist import (
     verify_phi_integrality,
     verify_square_congruence,
 )
-from mukaitwist.lattices import Reflection
+from mukaitwist.lattices import COVER_SWAP, Reflection
 from mukaitwist.prng import SplitMix64, mix64, substream
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
@@ -436,8 +440,7 @@ class TestFailureReporting:
         """Break the block identity deliberately; the report must carry a
         counterexample that reproduces the failure on re-evaluation."""
         h2 = standard_lattice("mukai_h2")
-        broken = Isometry(h2, IntMatrix.identity(22))
-        monkeypatch.setattr(verify, "cover_involution_h2", lambda: broken)
+        monkeypatch.setattr(verify, "cover_involution_coords", lambda ell: ell)
         report = verify_square_congruence(TrialConfig(trials=50, seed=0))
         assert not report.passed
         ce = report.counterexample
@@ -453,8 +456,7 @@ class TestFailureReporting:
     def test_counterexample_is_pinned(self, monkeypatch):
         """The first failing draw and every figure derived from it. Passing
         reports carry no sample, so this pins the draws and the arithmetic."""
-        h2 = standard_lattice("mukai_h2")
-        monkeypatch.setattr(verify, "cover_involution_h2", lambda: Isometry(h2, IntMatrix.identity(22)))
+        monkeypatch.setattr(verify, "cover_involution_coords", lambda ell: ell)
         report = verify_square_congruence(TrialConfig(trials=50, seed=0))
         assert report.trials_run == 1
         assert report.counterexample == {
@@ -489,15 +491,12 @@ class TestFailureReporting:
     def test_report_text_is_pinned(self, monkeypatch, trials, expected):
         """Key order and sweep order: the first failing random trial, and with
         no random trials the first case of the exhaustive sweep."""
-        h2 = standard_lattice("mukai_h2")
-        monkeypatch.setattr(verify, "cover_involution_h2", lambda: Isometry(h2, IntMatrix.identity(22)))
+        monkeypatch.setattr(verify, "cover_involution_coords", lambda ell: ell)
         report = verify_square_congruence(TrialConfig(trials=trials, seed=0))
         assert json.dumps(report.check_json()) == expected
 
     def test_summary_carries_counterexample(self, monkeypatch):
-        h2 = standard_lattice("mukai_h2")
-        broken = Isometry(h2, IntMatrix.identity(22))
-        monkeypatch.setattr(verify, "cover_involution_h2", lambda: broken)
+        monkeypatch.setattr(verify, "cover_involution_coords", lambda ell: ell)
         report = verify_square_congruence(TrialConfig(trials=50, seed=0))
         assert "counterexample" in report.summary()
         assert "counterexample" in report.check_json()
@@ -582,11 +581,47 @@ class TestTupleRoute:
         def refuse(*args):
             raise AssertionError("a trial case built a MukaiVector")
 
-        monkeypatch.setattr(mukai, "_vector", refuse)
         monkeypatch.setattr(MukaiVector, "__init__", refuse)
         cfg = TrialConfig(trials=50)
         assert all(report.passed for report in verify.run_claims_suite(cfg, jobs=1))
         assert verify_phi_integrality(cfg).passed
+
+    # tau with z3 kept, not negated. U reads z3 = (a, b) through 2ab alone, so
+    # l . tau(l) moves by 4ab: a class fails where both of a and b are nonzero.
+    KEEP_Z3 = staticmethod(itemgetter(*COVER_SWAP, 20, 21))
+
+    def test_involution_keeping_z3_fails_the_square_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "cover_involution_coords", self.KEEP_Z3)
+        cfg = TrialConfig(trials=50, seed=0)
+        first = next(i for i in range(cfg.trials) if all(substream(cfg.seed, i).integers(-50, 50, 22)[20:]))
+        report = verify_square_congruence(cfg)
+        assert report.trials_run == first + 1
+        ce = report.counterexample
+        a, b = ce["ell"][20:]
+        assert ce["pairing_with_involution"] - ce["block_formula"] == 4 * a * b != 0
+        assert ce["square_mod_4"] == 0
+        monkeypatch.undo()
+        assert verify._square_congruence_case(tuple(ce["ell"])) is None
+
+    def test_involution_keeping_z3_fails_the_sweep_on_the_z3_pair_alone(self, monkeypatch):
+        # Classes with one z3 entry pass; the first failure is the first case of pair (20, 21).
+        monkeypatch.setattr(verify, "cover_involution_coords", self.KEEP_Z3)
+        ce = verify_square_congruence(TrialConfig(trials=0)).counterexample
+        assert ce["source"] == "exhaustive pair (20, 21)"
+        assert ce["ell"][20:] == [-2, -2] and not any(ce["ell"][:20])
+        assert ce["pairing_with_involution"] != ce["block_formula"]
+
+    def test_claims_build_no_involution_matrix(self):
+        # tau is applied by its closed form: no command builds cover_involution_h2().
+        code = (
+            "import mukaitwist.lattices as lattices, mukaitwist.verify as verify; "
+            "verify.run_claims_suite(verify.TrialConfig(trials=20), jobs=1); "
+            "print(lattices.cover_involution_h2.cache_info().currsize)"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == ["0"]
 
     def test_closed_form_is_a_tuple(self):
         v = verify._invariant_from_parameters(1, tuple(range(8)), (8, 9), 10)
@@ -681,8 +716,8 @@ class TestVerificationReport:
 
 def _break_square(monkeypatch):
     """tau replaced by the identity on classes with odd first coordinate."""
-    tau = verify.cover_involution_h2()
-    monkeypatch.setattr(verify, "cover_involution_h2", lambda: lambda ell: ell if ell[0] % 2 else tau(ell))
+    tau = verify.cover_involution_coords
+    monkeypatch.setattr(verify, "cover_involution_coords", lambda ell: ell if ell[0] % 2 else tau(ell))
 
 
 def _break_characteristic(monkeypatch):
@@ -865,12 +900,12 @@ class TestSquareSweepIndices:
     def test_failure_in_the_sweep_merges_to_the_serial_report(self, monkeypatch):
         # tau is the identity on classes supported on coordinates 5 and 9
         # alone, which no random trial draws.
-        tau = verify.cover_involution_h2()
+        tau = verify.cover_involution_coords
         pair = {5, 9}
         monkeypatch.setattr(
             verify,
-            "cover_involution_h2",
-            lambda: lambda ell: ell if {n for n, c in enumerate(ell) if c} == pair else tau(ell),
+            "cover_involution_coords",
+            lambda ell: ell if {n for n, c in enumerate(ell) if c} == pair else tau(ell),
         )
         serial, *parallel = TestParallelRuns.summaries("square")
         assert serial["counterexample"]["source"] == "exhaustive pair (5, 9)"
