@@ -21,7 +21,8 @@ else, so the page stabilizes at
     (k . H^0,  H^1,  H^2,  H^3 / <alpha>,  H^4),   k = order(alpha),
 
 and K^1 = H^1 + H^3/<alpha>. Degree 0 is reported only as the graded triple
-(k . H^0, H^2, H^4); the extension problem is not resolved here.
+(k . H^0, H^2, H^4); the extension problem is not resolved here. The page
+is an E4Page, an immutable, hashable record (mukaitwist._record.Record).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from math import gcd, lcm
 
+from ._record import Record
 from .intmat import IntMatrix, smith_normal_form
 
 
@@ -116,10 +118,17 @@ class FGAbelianGroup:
         return n
 
     def reduce_element(self, coords: Sequence[int]) -> tuple[int, ...]:
-        """Normalize element coordinates: torsion entries reduced mod their factor."""
+        """Normalize element coordinates: torsion entries reduced mod their factor.
+
+        Every coordinate must be an int (a bool is not one), so inexact input
+        raises TypeError rather than being truncated.
+        """
         if len(coords) != self.n_generators:
             raise ValueError(f"element has {len(coords)} coordinates, group has {self.n_generators} generators")
-        out = list(int(x) for x in coords)
+        out = list(coords)
+        for i, x in enumerate(out):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"element coordinate {i} must be an int, got {type(x).__name__}")
         for i, d in enumerate(self.torsion):
             out[self.free_rank + i] %= d
         return tuple(out)
@@ -314,7 +323,7 @@ class CohomologySpec:
         return order
 
 
-class E4Page:
+class E4Page(Record):
     """The stable page of the twisted degree computation for a surface; immutable.
 
     columns = (k.H0, H1, H2, H3/<alpha>, H4) with k the order of the twist
@@ -322,30 +331,14 @@ class E4Page:
     multiplier k.
     """
 
+    _fields = ("h0_multiplier", "columns")
+
     def __init__(
         self,
         h0_multiplier: int,
         columns: tuple[FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup, FGAbelianGroup],
     ):
-        object.__setattr__(self, "h0_multiplier", h0_multiplier)
-        object.__setattr__(self, "columns", columns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: E4Page is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: E4Page is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.h0_multiplier == other.h0_multiplier and self.columns == other.columns
-
-    def __hash__(self) -> int:
-        return hash((self.h0_multiplier, self.columns))
-
-    def __repr__(self) -> str:
-        return f"E4Page(h0_multiplier={self.h0_multiplier!r}, columns={self.columns!r})"
+        super().__init__(h0_multiplier, columns)
 
     def k1(self) -> FGAbelianGroup:
         """K^1 = H^1 + H^3/<alpha>, the odd columns of the stable page."""

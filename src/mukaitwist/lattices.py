@@ -146,8 +146,11 @@ def direct_sum(first: Lattice, second: Lattice, label: str = "") -> Lattice:
 
 @lru_cache(maxsize=None)
 def standard_lattice(name: str) -> Lattice:
-    """Named standard lattices: u, e8, minus_e8, enriques_h2, mukai_h2."""
-    return _standard_lattice(name.lower().replace("-", "_").replace(" ", ""))
+    """Named standard lattices: u, e8, minus_e8, enriques_h2, mukai_h2.
+
+    Case is ignored, and a hyphen or a space reads as an underscore.
+    """
+    return _standard_lattice(name.lower().replace("-", "_").replace(" ", "_"))
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +159,7 @@ def _standard_lattice(key: str) -> Lattice:
         return Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]), "U")
     if key == "e8":
         return Lattice(_e8_gram(), "E8")
-    if key in ("minus_e8", "minuse8"):
+    if key == "minus_e8":
         return Lattice(-_e8_gram(), "-E8")
     if key == "enriques_h2":
         # Free part of the degree-2 cohomology of an Enriques surface.

@@ -4,7 +4,10 @@ Every check is deterministic: a (trials, seed, coord_bound) configuration
 fixes the sampled sequence exactly (SplitMix64 substreams, one per trial,
 see mukaitwist.prng), so reports are reproducible byte for byte apart from
 elapsed time. Trials share no mutable state and may be evaluated in any
-order; a report is the conjunction of its trials.
+order; a report is the conjunction of its trials. A configuration is a
+TrialConfig and each check's outcome a VerificationReport. Both are
+immutable records on one base (mukaitwist._record.Record); two reports are
+equal when all but their elapsed_s is, and a report has no hash.
 
 Each check is a numbered set of cases, one result per case: None, or that
 case's counterexample. A sampled check's cases are
@@ -73,6 +76,7 @@ from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 from operator import add, neg
 
+from ._record import Record
 from .intmat import IntMatrix, determinant, solve
 from .lattices import (
     Isometry,
@@ -106,8 +110,10 @@ def _require_int(field: str, value) -> None:
         raise TypeError(f"{field} must be an int, got {type(value).__name__}")
 
 
-class TrialConfig:
+class TrialConfig(Record):
     """Deterministic sampling configuration for a verification run; immutable."""
+
+    _fields = ("trials", "seed", "coord_bound")
 
     def __init__(self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, coord_bound: int = DEFAULT_COORD_BOUND):
         for field, value in (("trials", trials), ("seed", seed), ("coord_bound", coord_bound)):
@@ -119,40 +125,21 @@ class TrialConfig:
         # A coordinate is one draw from the 2b + 1 values in [-b, b]; SplitMix64 has 2**64.
         if not 1 <= coord_bound < 2**63:
             raise ValueError("coord_bound must be in [1, 2**63)")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "coord_bound", coord_bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: TrialConfig is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: TrialConfig is immutable")
+        super().__init__(trials, seed, coord_bound)
 
     def to_dict(self) -> dict:
         """The configuration as it appears in a report: trials, seed, coord_bound."""
         return {"trials": self.trials, "seed": self.seed, "coord_bound": self.coord_bound}
 
-    def _key(self) -> tuple[int, int, int]:
-        return self.trials, self.seed, self.coord_bound
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+class VerificationReport(Record):
+    """Outcome of one check: pass/fail, trial count, and any counterexample; immutable.
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"TrialConfig(trials={self.trials!r}, seed={self.seed!r}, coord_bound={self.coord_bound!r})"
-
-
-class VerificationReport:
-    """Outcome of one check: pass/fail, trial count, and any counterexample.
-
-    Two reports are equal when everything but elapsed_s is.
+    Two reports are equal when everything but elapsed_s is. A report has no
+    hash, as its config and counterexample are dicts.
     """
+
+    _fields = ("check_name", "trials_run", "passed", "counterexample", "config", "elapsed_s")
 
     def __init__(
         self,
@@ -163,26 +150,12 @@ class VerificationReport:
         config: dict,
         elapsed_s: float,
     ):
-        self.check_name = check_name
-        self.trials_run = trials_run
-        self.passed = passed
-        self.counterexample = counterexample
-        self.config = config
-        self.elapsed_s = elapsed_s
+        super().__init__(check_name, trials_run, passed, counterexample, config, elapsed_s)
 
     def _key(self) -> tuple:
         return self.check_name, self.trials_run, self.passed, self.counterexample, self.config
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # mutable, and its config and counterexample are dicts
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"VerificationReport({fields})"
+    __hash__ = None
 
     def summary(self) -> dict:
         """Everything except timing; equal summaries mean identical runs."""

@@ -121,6 +121,35 @@ class TestElements:
             FGAbelianGroup(1, (2,)).reduce_element((1,))
 
 
+class TestInexactCoordinates:
+    """A coordinate that is not an int, or is a bool, is refused, never truncated."""
+
+    G = FGAbelianGroup(1, (2,))
+
+    @pytest.mark.parametrize("coords, index, kind", [([1.9, 1.2], 0, "float"), ([0, 1.7], 1, "float"), ([0, True], 1, "bool")])
+    def test_reduce_element_names_the_index(self, coords, index, kind):
+        with pytest.raises(TypeError) as exc:
+            self.G.reduce_element(coords)
+        assert str(exc.value) == f"element coordinate {index} must be an int, got {kind}"
+
+    @pytest.mark.parametrize("coords", [[0, 1.0], [0, 1.7], [0, True], [0, "1"]])
+    def test_element_order(self, coords):
+        with pytest.raises(TypeError, match="coordinate 1"):
+            self.G.element_order(coords)
+
+    @pytest.mark.parametrize("coords", [[0, 1.0], [0, 1.7], [0, False]])
+    def test_quotient_by(self, coords):
+        with pytest.raises(TypeError, match="coordinate 1"):
+            self.G.quotient_by(coords)
+        assert self.G.quotient_by([0, 1]) == Z
+
+    @pytest.mark.parametrize("alpha", [[1.0], [True], [0.5]])
+    def test_cohomology_spec(self, alpha):
+        with pytest.raises(TypeError, match="coordinate 0"):
+            CohomologySpec(h0=Z, h1=TRIVIAL, h2=Z, h3=Z2, h4=Z, alpha=alpha)
+        assert CohomologySpec(h0=Z, h1=TRIVIAL, h2=Z, h3=Z2, h4=Z, alpha=[1]).alpha_order() == 2
+
+
 class TestQuotient:
     def test_mod_two_by_nonzero_is_trivial(self):
         assert Z2.quotient_by((1,)) == TRIVIAL

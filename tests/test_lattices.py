@@ -94,6 +94,18 @@ class TestStandardLattices:
         assert standard_lattice("minus-e8") is standard_lattice("minus_e8")
         assert standard_lattice("Minus-E8") is standard_lattice("minus_e8")
 
+    @pytest.mark.parametrize("name", ["u", "e8", "minus_e8", "enriques_h2", "mukai_h2"])
+    def test_every_spelling_is_the_same_cached_lattice(self, name):
+        lat = standard_lattice(name)
+        for spelling in (name.replace("_", "-"), name.replace("_", " "), name.upper(), name.replace("_", " ").title()):
+            assert standard_lattice(spelling) is lat
+
+    def test_spaces_are_not_deleted(self):
+        with pytest.raises(ValueError):
+            standard_lattice("minuse8")
+        with pytest.raises(ValueError):
+            standard_lattice("mukai h 2")
+
 
 class TestInner:
     def test_hyperbolic_values(self):

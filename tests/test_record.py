@@ -1,0 +1,68 @@
+"""The three immutable records share one base: assignment, pickling, repr, hash."""
+import copy
+import pickle
+
+import pytest
+
+from mukaitwist import CohomologySpec, E4Page, TrialConfig, VerificationReport, e4_page
+
+RECORDS = [
+    TrialConfig(trials=5, seed=3, coord_bound=9),
+    VerificationReport("square-congruence", 3, False, {"ell": [1, 2]}, {"trials": 3}, 0.5),
+    e4_page(CohomologySpec.enriques(twisted=True)),
+]
+
+
+@pytest.fixture(params=RECORDS, ids=lambda r: type(r).__name__)
+def record(request):
+    return request.param
+
+
+def test_fields_and_unknown_names_refuse_assignment_and_deletion(record):
+    cls = type(record).__name__
+    before = repr(record)
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError) as exc:
+            setattr(record, name, None)
+        assert str(exc.value) == f"cannot assign to field {name!r}: {cls} is immutable"
+        with pytest.raises(AttributeError) as exc:
+            delattr(record, name)
+        assert str(exc.value) == f"cannot delete field {name!r}: {cls} is immutable"
+    assert repr(record) == before
+
+
+def test_pickle_and_deepcopy_round_trip(record):
+    # From protocol 2 on: FGAbelianGroup, in an E4Page's columns, has __slots__ and no __getstate__.
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(record, protocol))
+        assert clone == record and type(clone) is type(record)
+    clone = copy.deepcopy(record)
+    assert clone == record and clone is not record
+    assert [getattr(clone, name) for name in clone._fields] == [getattr(record, name) for name in record._fields]
+
+
+def test_repr_lists_the_fields_in_order(record):
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._fields)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+def test_equality_needs_the_same_class(record):
+    assert record == copy.copy(record)
+    assert record != tuple(getattr(record, name) for name in record._fields)
+    assert all(record != other for other in RECORDS if type(other) is not type(record))
+
+
+def test_hash_is_only_for_hashable_records(record):
+    if isinstance(record, VerificationReport):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(copy.deepcopy(record))
+
+
+def test_one_private_base():
+    import mukaitwist
+    from mukaitwist._record import Record
+
+    assert all(issubclass(cls, Record) for cls in (TrialConfig, VerificationReport, E4Page))
+    assert "Record" not in dir(mukaitwist)
