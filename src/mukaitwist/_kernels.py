@@ -24,11 +24,14 @@ summing u_i (A v)_i over the nonzero u_i from the int 0. ``quadform`` is
 sequences.
 
 ``norm_scan`` enumerates a box by meeting in the middle: it splits the
-coordinates into a head and a tail half, matches the two halves' values of
-the form through a dict, and sorts the hits once at the end, so a scan costs
-about two half-boxes rather than the whole box.
+coordinates into a head and a tail half and files every tail once, in lex
+order, in one index by its coupled coordinates and its value of the form.
+Each head, taken in lex order, looks its partners up there, so the hits come
+out in lex order with no final sort, and a scan costs the head half-box times
+the tails' distinct coupled parts rather than the whole box.
 """
 from itertools import product
+from operator import mul
 
 
 def matmul(a, b, n, k, m):
@@ -134,37 +137,29 @@ def norm_scan(g, n, target, bound):
 
     Meet in the middle (Horowitz-Sahni): v splits into a head a over
     coordinates 0..h-1, h = n // 2, and a tail t over h..n-1, and
-    Q(v) = Q_head(a) + Q_tail(t) + key(a) . t, where key(a) holds
-    2 sum_i g_ij a_i for each tail coordinate j that some head coordinate
-    couples to. Heads are grouped by key. For each key one dict maps
-    Q_tail(t) + key(a) . t to its tails, every head of the group looks up
-    target - Q_head(a), and the dict is dropped before the next key, so
-    memory stays linear in the two half-boxes plus the hits even when every
-    head has its own key. Groups come out in no particular order; one sort at
-    the end restores lex order.
+    Q(v) = Q_head(a) + Q_tail(t) + key(a) . proj(t), where proj(t) holds t's
+    entries on the tail coordinates that some head coordinate couples to and
+    key(a) holds 2 sum_i g_ij a_i for each of them. One index, built once,
+    files every tail in lex order under its proj and then under its Q_tail.
+    Each head, in lex order, looks up target - Q_head(a) - key(a) . proj in
+    each projection's dict; its own few tails are sorted and a + t appended,
+    so the hits come out in lex order with no sort of the whole list. Memory
+    stays linear in the two half-boxes plus the hits; the time is the head
+    half-box times the number of projections, at most the whole box when
+    every tail has its own projection.
     """
     xs = range(-bound, bound + 1)
     h = n // 2
-    # Each tail coordinate (indexed within the tail) that some head coordinate
-    # couples to, and the couplings (i, 2 g_ij) that make up its key entry.
-    coupled, cols = [], []
-    for j in range(h, n):
-        col = [(i, 2 * g[i * n + j]) for i in range(h) if g[i * n + j]]
-        if col:
-            coupled.append(j - h)
-            cols.append(col)
-    groups = {}
-    for a, qa in _half_box(g, n, 0, h, xs):
-        key = tuple(sum(w * a[i] for i, w in col) for col in cols)
-        groups.setdefault(key, []).append((a, qa))
-    tails = _half_box(g, n, h, n, xs)
+    # The tail coordinates that some head coordinate couples to.
+    coupled = [j for j in range(h, n) if any(g[i * n + j] for i in range(h))]
+    index = {}
+    for t, qt in _half_box(g, n, h, n, xs):
+        index.setdefault(tuple(t[j - h] for j in coupled), {}).setdefault(qt, []).append(t)
     hits = []
-    for key, heads in groups.items():
-        by_value = {}
-        for t, qt in tails:
-            by_value.setdefault(qt + sum(k * t[j] for k, j in zip(key, coupled)), []).append(t)
-        for a, qa in heads:
-            for t in by_value.get(target - qa, ()):
-                hits.append(a + t)
-    hits.sort()
+    for a, qa in _half_box(g, n, 0, h, xs):
+        key = [2 * sum(g[i * n + j] * a[i] for i in range(h)) for j in coupled]
+        found = []
+        for proj, by_q in index.items():
+            found += by_q.get(target - qa - sum(map(mul, key, proj)), ())
+        hits += [a + t for t in sorted(found)]
     return hits

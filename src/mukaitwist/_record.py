@@ -1,4 +1,5 @@
-"""Record: the immutable value base behind TrialConfig, VerificationReport and E4Page.
+"""Record: the immutable value base of TrialConfig, VerificationReport, E4Page,
+FGAbelianGroup and CohomologySpec.
 
 It does what a frozen dataclass would, without importing dataclasses (and
 with it inspect) at start-up. A subclass names its fields in _fields and

@@ -22,7 +22,9 @@ else, so the page stabilizes at
 
 and K^1 = H^1 + H^3/<alpha>. Degree 0 is reported only as the graded triple
 (k . H^0, H^2, H^4); the extension problem is not resolved here. The page
-is an E4Page, an immutable, hashable record (mukaitwist._record.Record).
+is an E4Page. It, the groups and the CohomologySpec are immutable, hashable
+records (mukaitwist._record.Record), so assignment cannot bypass the checks
+their constructors make.
 """
 from __future__ import annotations
 
@@ -56,10 +58,10 @@ def _fold_factor(chain: list[int], x: int) -> None:
         chain[i], x = lcm(d, x), gcd(d, x)
 
 
-class FGAbelianGroup:
-    """A finitely generated abelian group in invariant-factor form."""
+class FGAbelianGroup(Record):
+    """A finitely generated abelian group in invariant-factor form; immutable."""
 
-    __slots__ = ("free_rank", "torsion")
+    _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
         if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
@@ -71,8 +73,7 @@ class FGAbelianGroup:
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must form a divisibility chain: {a} does not divide {b}")
-        self.free_rank = free_rank
-        self.torsion = torsion
+        super().__init__(free_rank, torsion)
 
     @classmethod
     def trivial(cls) -> "FGAbelianGroup":
@@ -179,14 +180,6 @@ class FGAbelianGroup:
     def to_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FGAbelianGroup):
-            return NotImplemented
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.torsion))
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -195,9 +188,6 @@ class FGAbelianGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"FGAbelianGroup(free_rank={self.free_rank}, torsion={list(self.torsion)})"
 
 
 class SpecFormatError(ValueError):
@@ -226,10 +216,10 @@ def _group_from_dict(data, field: str) -> FGAbelianGroup:
         raise SpecFormatError(f"{field}.torsion: {exc}") from exc
 
 
-class CohomologySpec:
-    """Integral cohomology of a compact surface plus a torsion twist class in H^3."""
+class CohomologySpec(Record):
+    """Integral cohomology of a compact surface plus a torsion twist class in H^3; immutable."""
 
-    __slots__ = ("h0", "h1", "h2", "h3", "h4", "alpha")
+    _fields = ("h0", "h1", "h2", "h3", "h4", "alpha")
 
     def __init__(
         self,
@@ -240,14 +230,10 @@ class CohomologySpec:
         h4: FGAbelianGroup,
         alpha: Sequence[int],
     ):
-        self.h0 = h0
-        self.h1 = h1
-        self.h2 = h2
-        self.h3 = h3
-        self.h4 = h4
-        self.alpha = h3.reduce_element(alpha)
-        if h3.element_order(self.alpha) is None:
+        alpha = h3.reduce_element(alpha)
+        if h3.element_order(alpha) is None:
             raise ValueError("alpha must have finite order: free coordinates must vanish")
+        super().__init__(h0, h1, h2, h3, h4, alpha)
 
     @classmethod
     def enriques(cls, twisted: bool) -> "CohomologySpec":

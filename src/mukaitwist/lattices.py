@@ -263,8 +263,9 @@ def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[
     """All vectors with coordinates in [-coord_bound, coord_bound] of the given square.
 
     In lexicographic order, from ``_kernels.norm_scan``: a meet-in-the-middle
-    scan of the box that costs about two half-boxes, so it suits the small
-    bounds needed to harvest reflection vectors, not large ones.
+    scan that files the tail half-box once and looks each head up in it, so
+    it suits the small bounds needed to harvest reflection vectors, not
+    large ones.
     """
     if coord_bound < 0:
         raise ValueError("coord_bound must be >= 0")

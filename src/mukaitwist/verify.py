@@ -24,10 +24,15 @@ default; it is an execution option, so it is in no config and no report):
   os.fork, after it has evaluated index 0: that first case builds every
   cache the cases read (the kernel basis of T - 1, the generator pool, the
   compiled Gram forms), so no worker builds it again, and if it fails no
-  worker is forked. No worker sees another's failure, so a failure at a
-  later index still waits for every other worker's whole share. A forked
-  child holds only the forking thread, so pass jobs > 1 only from a
-  process that runs no other threads (the CLI runs none).
+  worker is forked. A forked child holds only the forking thread, so pass
+  jobs > 1 only from a process that runs no other threads (the CLI runs
+  none).
+* early stop -- with w > 1 the workers share one 8-byte word (an
+  anonymous mmap), the lowest failing index found so far, count at first.
+  Before each index a worker stops if the index is above it; a worker
+  that fails below it writes its own index there. Only real failing
+  indices are written, so a race can make a worker stop later but never
+  skip an index below the lowest failure.
 * merge -- each worker sends its first (index, counterexample), or None,
   through a pipe (marshal) and leaves by os._exit. The parent keeps the
   lowest failing index, and trials_run is that index + 1, or the case
@@ -73,7 +78,7 @@ import marshal
 import os
 import time
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, takewhile
 from operator import add, neg
 
 from ._record import Record
@@ -173,12 +178,33 @@ class VerificationReport(Record):
         return out
 
 
-def _first_failure(results, indices) -> tuple[int, dict] | None:
-    """The first (index, counterexample) of results, one per index, or None."""
-    return next(((index, ce) for ce, index in zip(results, indices) if ce is not None), None)
+def _shared_bound(count: int) -> memoryview:
+    """One 8-byte word, set to count, that forked workers share: the lowest failing index found."""
+    import mmap  # loaded only by a run that forks
+
+    bound = memoryview(mmap.mmap(-1, 8)).cast("Q")
+    bound[0] = min(count, 2**64 - 1)  # the word's largest value; no run reaches that index
+    return bound
 
 
-def _fork_worker(cases, indices: range) -> tuple[int, int]:
+def _below(indices, bound: memoryview | None):
+    """indices, up to the first one above the shared bound; all of them with no bound."""
+    return indices if bound is None else takewhile(lambda index: index <= bound[0], indices)
+
+
+def _first_failure(results, indices, bound: memoryview | None) -> tuple[int, dict] | None:
+    """The first (index, counterexample) of results, one per index, or None.
+
+    A failure below the shared bound lowers it, so that every worker stops
+    before its next index above it.
+    """
+    failure = next(((index, ce) for ce, index in zip(results, indices) if ce is not None), None)
+    if failure is not None and bound is not None and failure[0] < bound[0]:
+        bound[0] = failure[0]
+    return failure
+
+
+def _fork_worker(cases, indices: range, bound: memoryview) -> tuple[int, int]:
     """Fork a worker over indices; return its pid and the read end of its pipe.
 
     The worker sends (True, first failure) or, if it raised, (False, the
@@ -198,7 +224,7 @@ def _fork_worker(cases, indices: range) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            payload = marshal.dumps((True, _first_failure(cases(indices), indices)))
+            payload = marshal.dumps((True, _first_failure(cases(_below(indices, bound)), indices, bound)))
         except BaseException as exc:
             import traceback  # loaded by a worker that failed, never by the parent
 
@@ -230,7 +256,8 @@ def _run_cases(name: str, config: dict, cases, count: int, jobs: int = 1) -> Ver
     started = time.perf_counter()
     workers = max(1, min(jobs, count))
     own = range(0, count, workers)
-    results = cases(own)
+    bound = _shared_bound(count) if workers > 1 else None
+    results = cases(_below(own, bound))
     # Index 0 runs before any fork and builds the caches the cases share.
     # With no cases this still runs the check's set-up, as a serial run does.
     head = list(islice(results, 1))
@@ -239,8 +266,8 @@ def _run_cases(name: str, config: dict, cases, count: int, jobs: int = 1) -> Ver
     children: list[tuple[int, int]] = []
     try:
         for k in forked:
-            children.append(_fork_worker(cases, range(k, count, workers)))
-        failures = [_first_failure(chain(head, results), own)]
+            children.append(_fork_worker(cases, range(k, count, workers), bound))
+        failures = [_first_failure(chain(head, results), own, bound)]
         failures += [_receive(read_fd, k) for k, (_, read_fd) in enumerate(children, 1)]
     except BaseException:
         import signal  # loaded only on this path

@@ -98,6 +98,35 @@ def test_norm_scan_on_wider_sparse_grams_matches_box_oracle(gram, target, bound)
     assert _kernels.norm_scan(flat, n, target, bound) == box_norm_scan(flat, n, target, bound)
 
 
+@st.composite
+def densely_coupled_grams(draw):
+    """A flat symmetric Gram coupling every head coordinate to every tail one, its n, and a target.
+
+    With h = n // 2 head coordinates, every entry g_ij with i < h <= j is
+    nonzero, so every tail has its own projection, and column h reads 1, 3, 9
+    on the head, so at bound 1 every head has its own key. The target is the
+    value of the form at a point of the box, so there is at least one hit.
+    """
+    n = draw(st.integers(2, 6))
+    h = n // 2
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cross = i < h <= j
+            g[i][j] = g[j][i] = 3**i if cross and j == h else draw(st.integers(-3, 3).filter(lambda x: x or not cross))
+    point = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    target = sum(g[i][j] * point[i] * point[j] for i in range(n) for j in range(n))
+    return tuple(x for row in g for x in row), n, target
+
+
+@settings(deadline=None)
+@given(densely_coupled_grams())
+def test_norm_scan_on_densely_coupled_grams_matches_box_oracle(case):
+    flat, n, target = case
+    hits = _kernels.norm_scan(flat, n, target, 1)
+    assert hits and hits == box_norm_scan(flat, n, target, 1)
+
+
 def test_norm_scan_small_cases():
     assert _kernels.norm_scan((), 0, 0, 1) == [()]
     assert _kernels.norm_scan((), 0, 2, 1) == []

@@ -1,15 +1,17 @@
-"""The three immutable records share one base: assignment, pickling, repr, hash."""
+"""The immutable records share one base: assignment, pickling, repr, hash."""
 import copy
 import pickle
 
 import pytest
 
-from mukaitwist import CohomologySpec, E4Page, TrialConfig, VerificationReport, e4_page
+from mukaitwist import CohomologySpec, E4Page, FGAbelianGroup, TrialConfig, VerificationReport, e4_page
 
 RECORDS = [
     TrialConfig(trials=5, seed=3, coord_bound=9),
     VerificationReport("square-congruence", 3, False, {"ell": [1, 2]}, {"trials": 3}, 0.5),
     e4_page(CohomologySpec.enriques(twisted=True)),
+    FGAbelianGroup(1, (2, 4)),
+    CohomologySpec.enriques(twisted=True),
 ]
 
 
@@ -32,8 +34,7 @@ def test_fields_and_unknown_names_refuse_assignment_and_deletion(record):
 
 
 def test_pickle_and_deepcopy_round_trip(record):
-    # From protocol 2 on: FGAbelianGroup, in an E4Page's columns, has __slots__ and no __getstate__.
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(record, protocol))
         assert clone == record and type(clone) is type(record)
     clone = copy.deepcopy(record)
@@ -64,5 +65,17 @@ def test_one_private_base():
     import mukaitwist
     from mukaitwist._record import Record
 
-    assert all(issubclass(cls, Record) for cls in (TrialConfig, VerificationReport, E4Page))
+    records = (TrialConfig, VerificationReport, E4Page, FGAbelianGroup, CohomologySpec)
+    assert all(issubclass(cls, Record) for cls in records)
     assert "Record" not in dir(mukaitwist)
+
+
+def test_assignment_cannot_bypass_the_checks():
+    # alpha (7,) is no element of h3 = Z/2, and (4, 2) is no divisibility chain.
+    spec = CohomologySpec.enriques(twisted=True)
+    with pytest.raises(AttributeError):
+        spec.alpha = (7,)
+    group = FGAbelianGroup(0, (2,))
+    with pytest.raises(AttributeError):
+        group.torsion = (4, 2)
+    assert spec.alpha == (1,) and group.torsion == (2,)

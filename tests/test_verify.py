@@ -856,6 +856,19 @@ class TestParallelRuns:
         assert not serial["passed"]
         assert parallel == [serial, serial]
 
+    def test_a_failure_stops_every_worker(self, monkeypatch, check):
+        # Trial 1 is the forked worker's at jobs=2; once it fails, the parent
+        # stops at its next index instead of running its whole 10,000-trial share.
+        _fail_trial(monkeypatch, 1)
+        cfg = TrialConfig(trials=20_000)
+        serial = PARALLEL_CHECKS[check](cfg, jobs=1).summary()
+        draws = []
+        draw = verify.substream
+        monkeypatch.setattr(verify, "substream", lambda seed, index: draws.append(index) or draw(seed, index))
+        assert PARALLEL_CHECKS[check](cfg, jobs=2).summary() == serial
+        assert serial["trials_run"] == 2 and len(draws) < 10_000 // 2
+        _no_child_left()
+
     def test_failure_at_index_zero_forks_no_worker(self, monkeypatch, check):
         _fail_trial(monkeypatch, 0)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked after index 0 failed"))
