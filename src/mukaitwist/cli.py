@@ -9,11 +9,12 @@ Subcommands:
 * ``lattice info``            -- rank/Gram/determinant/parity/definiteness
 
 Exit codes: 0 all checks passed, 1 a verification failed (counterexample
-printed), 2 usage or input error. Reports are plain text by default;
-``--json`` emits a machine-readable document with a fixed field order
-(schema in mukaitwist/data/report_schema.json). Runs are reproducible:
-the default seed is fixed, and identical arguments produce identical
-reports apart from elapsed_ms.
+printed), 2 usage or input error. An internal fault, such as a map that is
+not an isometry, is none of these: it raises with its traceback. Reports
+are plain text by default; ``--json`` emits a machine-readable document
+with a fixed field order (schema in mukaitwist/data/report_schema.json).
+Runs are reproducible: the default seed is fixed, and identical arguments
+produce identical reports apart from elapsed_ms.
 
 ``verify --jobs N`` deals each sampled check's cases to N worker processes
 (the parent and N - 1 forked children; see mukaitwist.verify). N must lie in
@@ -42,6 +43,7 @@ from .verify import (
     DEFAULT_TRIALS,
     DEFAULT_WORD_LENGTH,
     TrialConfig,
+    check_word_length,
     run_claims_suite,
     verify_phi_integrality,
 )
@@ -147,13 +149,16 @@ def _run_verify(args) -> int:
         return EXIT_USAGE
     try:
         cfg = TrialConfig(trials=args.trials, seed=args.seed, coord_bound=args.coord_bound)
-        if args.suite == "claims":
-            reports = run_claims_suite(cfg, jobs=args.jobs)
-        else:
-            reports = [verify_phi_integrality(cfg, word_length=args.word_length, jobs=args.jobs)]
+        if args.suite == "phi-integrality":
+            check_word_length(args.word_length)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Past the argument checks a ValueError is an internal fault, not a usage error: it propagates.
+    if args.suite == "claims":
+        reports = run_claims_suite(cfg, jobs=args.jobs)
+    else:
+        reports = [verify_phi_integrality(cfg, word_length=args.word_length, jobs=args.jobs)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": f"verify {args.suite}",

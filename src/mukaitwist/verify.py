@@ -22,11 +22,13 @@ default; it is an execution option, so it is in no config and no report):
   Round-robin dealing keeps the shares even where cheap sweep cases follow
   dearer trials. The parent is worker 0 and forks the other w - 1 with
   os.fork, after it has evaluated index 0: that first case builds every
-  cache the cases read (the kernel basis of T - 1, the generator pool, the
-  compiled Gram forms), so no worker builds it again, and if it fails no
-  worker is forked. A forked child holds only the forking thread, so pass
-  jobs > 1 only from a process that runs no other threads (the CLI runs
-  none).
+  cache the cases read (the kernel basis of T - 1, the compiled Gram forms,
+  and for phi the generator pool's harvested vectors), so no worker builds
+  it again, and if it fails no worker is forked. The pool's reflections are
+  built on first draw, so each worker builds the letters it draws, in its
+  own memory, and they go when it exits. A forked child holds only the
+  forking thread, so pass jobs > 1 only from a process that runs no other
+  threads (the CLI runs none).
 * early stop -- with w > 1 the workers share one 8-byte word (an
   anonymous mmap), the lowest failing index found so far, count at first.
   Before each index a worker stops if the index is above it; a worker
@@ -68,15 +70,17 @@ Checks:
   process from the lex-sorted short vectors of the +-1 eigenlattices of T:
   of each scan's hits, which come in pairs +-v, the upper half (the v with
   a positive leading entry) is kept. Every kept w is checked at harvest:
-  T w = +-w on coordinates, and w^2 = +-2 by Reflection. A word is applied
-  to (0,0,1) letter by letter, right to left, each reflection as a rank-one
-  update.
+  T w = +-w on coordinates, and w^2 = +-2 by Reflection. The pool keeps the
+  9,104 checked w in one flat array and builds each reflection on its
+  first draw. A word is applied to (0,0,1) letter by letter, right to
+  left, each reflection as a rank-one update.
 """
 from __future__ import annotations
 
 import marshal
 import os
 import time
+from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice, takewhile
 from operator import add, neg
@@ -484,30 +488,66 @@ def verify_invariant_lattice() -> VerificationReport:
     return _run_cases("invariant-lattice", {}, lambda steps: _invariant_lattice_results(), 6)
 
 
+class _Pool(Sequence):
+    """T, -1 and the harvested reflections, each reflection built on first access.
+
+    The reflection vectors are kept as one flat array of checked entries,
+    FULL_RANK to a vector. pool[i], for i >= 2, builds Reflection(lattice,
+    w_{i - 2}) the first time it is read and keeps it, so pool[i] is pool[i]
+    for the rest of the process. A forked worker builds the letters it
+    draws in its own memory. Two threads that race on one index can each
+    build it; the two letters are equal, so no value depends on which is
+    kept.
+    """
+
+    __slots__ = ("_lattice", "_vectors", "_letters")
+
+    def __init__(self, lattice: Lattice, head: tuple[Isometry, ...], vectors):
+        self._lattice = lattice
+        self._vectors = vectors
+        self._letters: list[Isometry | Reflection | None] = [*head, *[None] * (len(vectors) // FULL_RANK)]
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self._letters))[index]))
+        letter = self._letters[index]
+        if letter is None:
+            start = (index % len(self._letters) - 2) * FULL_RANK
+            letter = self._letters[index] = Reflection(self._lattice, self._vectors[start : start + FULL_RANK])
+        return letter
+
+
 @lru_cache(maxsize=None)
-def _generator_pool() -> tuple[Isometry | Reflection, ...]:
+def _generator_pool() -> _Pool:
     """T-equivariant generators: T, -1, and reflections in short T-(anti)fixed vectors.
 
-    T and -1 are isometries; every other entry is a Reflection, kept as its
-    vector w and applied to a vector as a rank-one update (its matrix is
-    built only on demand). The vectors w are harvested from the fixed
-    lattice (the cached _invariant_basis) and the anti-fixed lattice of T:
-    short_vectors lists, in lexicographic order, the vectors of square +-2
-    in the coordinate box 1 of the kernel basis. Negation reverses that
-    order and maps hits to hits, and the zero vector has square 0, so it is
-    never a hit: the upper half of each list is exactly the hits with a
-    positive leading entry, in order, one of each pair +-v, which give the
-    same reflection. Each w of the upper half is checked once, here: T w is
-    compared with +-w by twisted_involution_coords, and Reflection checks
-    w^2 = +-2 in the full lattice. A reflection in such a w commutes with T,
-    so every word in the pool does. This pool generates a proper subgroup
-    of the full equivariant orthogonal group; it is a test family, not an
-    enumeration.
+    T and -1 are isometries; every other entry is a Reflection, applied to a
+    vector as a rank-one update (its matrix is built only on demand). The
+    vectors w are harvested from the fixed lattice (the cached
+    _invariant_basis) and the anti-fixed lattice of T: short_vectors lists,
+    in lexicographic order, the vectors of square +-2 in the coordinate box
+    1 of the kernel basis. Negation reverses that order and maps hits to
+    hits, and the zero vector has square 0, so it is never a hit: the upper
+    half of each list is exactly the hits with a positive leading entry, in
+    order, one of each pair +-v, which give the same reflection. Each w of
+    the upper half is checked once, here: T w is compared with +-w by
+    twisted_involution_coords, and Reflection checks w^2 = +-2 in the full
+    lattice. The checked w are kept, in order, as signed bytes in one
+    array('b'), which raises OverflowError on an entry it cannot hold, and
+    each Reflection is built again on its first draw (see _Pool). A
+    reflection in such a w commutes with T, so every word in the pool does.
+    This pool generates a proper subgroup of the full equivariant orthogonal
+    group; it is a test family, not an enumeration.
     """
+    from array import array  # loaded only by a run that harvests
+
     lat = full_lattice()
     t_iso = twisted_involution_matrix()
     minus_identity = Isometry(lat, -IntMatrix.identity(FULL_RANK))
-    pool: list[Isometry | Reflection] = [t_iso, minus_identity]
+    vectors = array("b")
     for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, t_iso, -1))):
         sub = Lattice(gram, f"T-fixed({sign:+d})")
         for target in (2, -2):
@@ -516,9 +556,10 @@ def _generator_pool() -> tuple[Isometry | Reflection, ...]:
                 w = basis.mul_vec(v)
                 if twisted_involution_coords(w) != (w if sign == 1 else tuple(map(neg, w))):
                     raise RuntimeError(f"harvested vector is not a {sign:+d}-eigenvector of T")
-                pool.append(Reflection(lat, w))
+                Reflection(lat, w)  # the square check
+                vectors.extend(w)
             del hits  # free this scan's list before the next scan builds its own
-    return tuple(pool)
+    return _Pool(lat, (t_iso, minus_identity), vectors)
 
 
 def _sample_word(seed: int, word_length: int) -> list[Isometry | Reflection]:
@@ -534,6 +575,16 @@ def _apply_word(word: list[Isometry | Reflection], v: tuple[int, ...]) -> tuple[
     return v
 
 
+def check_word_length(word_length: int) -> None:
+    """Refuse a word length that is not an int in [0, 2**64), before any case runs.
+
+    A phi trial draws its length from [0, word_length], at most 2**64 values.
+    """
+    _require_int("word_length", word_length)
+    if not 0 <= word_length < 2**64:
+        raise ValueError("word length must be in [0, 2**64)")
+
+
 def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
     """A deterministic word in the equivariant generator pool; commutes with T.
 
@@ -542,11 +593,9 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
     an isometry and for commuting with T.
     """
     _require_int("seed", seed)
-    _require_int("word_length", word_length)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be in [0, 2**64)")
-    if word_length < 0:
-        raise ValueError("word length must be >= 0")
+    check_word_length(word_length)
     word = _sample_word(seed, word_length)
     result = Isometry(full_lattice(), IntMatrix.of_map(lambda e: _apply_word(word, e), FULL_RANK))
     t_mat = twisted_involution_matrix().matrix
@@ -601,10 +650,7 @@ def verify_phi_integrality(
     Also asserts the strengthening <phi(0,0,1), l + Tl> = 0 mod 4 on
     STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
     """
-    _require_int("word_length", word_length)
-    # Each trial draws its length from [0, word_length], at most 2**64 values.
-    if not 0 <= word_length < 2**64:
-        raise ValueError("word length must be in [0, 2**64)")
+    check_word_length(word_length)
     config = cfg.to_dict() | {"word_length": word_length}
     cases = partial(_phi_results, cfg, word_length=word_length)
     return _run_cases("phi-integrality", config, cases, cfg.trials, jobs)

@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mukaitwist.mukai as mukai
 import mukaitwist.verify as verify
 from mukaitwist.cli import main
 from mukaitwist.verify import VerificationReport
@@ -319,6 +320,53 @@ class TestVerifyCommand:
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["invariant-lattice"]
         assert "not in the computed invariant lattice" in failed[0]["counterexample"]["reason"]
+
+
+class TestInternalFaults:
+    """Past the argument checks a fault in the program raises with its traceback: it is no usage error."""
+
+    @pytest.fixture(autouse=True)
+    def real_caches_afterwards(self):
+        caches = (mukai.twisted_involution_matrix, verify._invariant_basis, verify._generator_pool)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_twist_that_is_not_an_isometry_raises(self, capsys, monkeypatch):
+        twist = mukai.twisted_involution_coords
+
+        def no_shift(x):
+            """T without the r - a - b shift of s."""
+            return (*twist(x)[:23], x[23])
+
+        monkeypatch.setattr(mukai, "twisted_involution_coords", no_shift)
+        monkeypatch.setattr(verify, "twisted_involution_coords", no_shift)
+        with pytest.raises(ValueError, match="does not preserve the Gram form"):
+            main(["verify", "claims", "--trials", "3", "--jobs", "1", "--json"])
+        assert capsys.readouterr().out == ""
+
+    def test_harvested_vector_that_fails_its_check_raises(self, capsys, monkeypatch):
+        scan = verify.short_vectors
+
+        def padded_scan(lattice, target, bound):
+            bad = (2,) + (0,) * (lattice.rank - 1)
+            return [tuple(-c for c in bad), *scan(lattice, target, bound), bad]
+
+        monkeypatch.setattr(verify, "short_vectors", padded_scan)
+        with pytest.raises(ValueError, match="reflection vector must have square"):
+            main(["verify", "phi-integrality", "--trials", "3", "--jobs", "1", "--json"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("word_length", [-1, 2**64])
+    def test_word_length_is_a_usage_error_before_any_pool(self, capsys, monkeypatch, word_length):
+        monkeypatch.setattr(verify, "_generator_pool", lambda: pytest.fail("built the generator pool"))
+        monkeypatch.setattr("mukaitwist.cli.verify_phi_integrality", lambda *a, **k: pytest.fail("ran the suite"))
+        code, out, err = run(capsys, "verify", "phi-integrality", "--trials", "3", "--word-length", str(word_length))
+        assert code == 2
+        assert "word length" in err
+        assert out == ""
 
 
 class TestJobsFlag:

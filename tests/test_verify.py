@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,9 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
+from collections.abc import Sequence
 from itertools import combinations, product
 from operator import itemgetter
 from pathlib import Path
@@ -311,6 +315,120 @@ class TestHarvestChecks:
         with pytest.raises(ValueError, match="reflection vector must have square"):
             verify._generator_pool.__wrapped__()
         assert len(built) == TestWordEvaluation.SCAN_HITS[1, 2] // 2 + 1
+
+
+def _reflections_alive() -> int:
+    return sum(type(o) is Reflection for o in gc.get_objects())
+
+
+class TestLeanPool:
+    """The pool keeps its checked vectors in one byte array and builds each reflection on first draw."""
+
+    @pytest.fixture(autouse=True)
+    def real_pool_afterwards(self):
+        yield
+        verify._generator_pool.cache_clear()
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        """The vector of every Reflection that verify builds from now on."""
+        out = []
+        real = verify.Reflection
+        monkeypatch.setattr(verify, "Reflection", lambda lat, w: out.append(tuple(w)) or real(lat, w))
+        return out
+
+    def test_fresh_pool_retains_under_two_mib(self):
+        verify._generator_pool()  # the caches the harvest reads: kernel bases, T, compiled Gram forms
+        tracemalloc.start()
+        try:
+            pool = verify._generator_pool.__wrapped__()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 9106
+        assert retained < 2 * 2**20
+
+    def test_every_vector_is_checked_and_no_reflection_kept_until_drawn(self, built):
+        before = _reflections_alive()
+        pool = verify._generator_pool.__wrapped__()
+        assert len(built) == len(pool) - 2
+        assert _reflections_alive() == before
+        drawn = [pool[i] for i in (7, 7, -1, 9000)]
+        assert len(built) == len(pool) - 2 + 3
+        assert _reflections_alive() == before + 3
+        assert built[-3:] == [drawn[0].w, drawn[2].w, drawn[3].w]
+
+    def test_a_letter_is_built_once(self, built):
+        pool = verify._generator_pool.__wrapped__()
+        built.clear()
+        assert pool[5] is pool[5] is pool[5 - len(pool)]
+        assert len(built) == 1
+
+    def test_sequence_protocol(self):
+        pool = verify._generator_pool.__wrapped__()
+        n = len(pool)
+        assert isinstance(pool, Sequence)
+        assert pool[0] is twisted_involution_matrix() and pool[1].matrix == -IntMatrix.identity(24)
+        assert pool[-1] is pool[n - 1] and pool[-n] is pool[0]
+        assert type(pool[2:5]) is tuple and all(a is b for a, b in zip(pool[2:5], (pool[2], pool[3], pool[4])))
+        assert len(pool[2:5]) == 3 and pool[n - 2 :: 7] == (pool[n - 2],)
+        sample = random.Random(3).sample(pool, 3)
+        assert len(sample) == 3 and all(letter in pool[:2] or type(letter) is Reflection for letter in sample)
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                pool[index]
+
+    def test_threads_that_race_on_one_index_read_equal_letters(self):
+        pool, reference = verify._generator_pool.__wrapped__(), verify._generator_pool()
+        indices = range(2, 302)
+        reads = [[] for _ in range(4)]
+        threads = [threading.Thread(target=lambda out: out.extend(pool[i].w for i in indices), args=(out,)) for out in reads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reads == [[reference[i].w for i in indices]] * 4
+        assert all(pool[i] is pool[i] for i in indices)
+
+    def test_store_refuses_an_entry_it_cannot_hold(self, monkeypatch):
+        # 200 e_0 in basis coordinates is 200 times a T-fixed column, so it
+        # passes the T check; with the square check stubbed, the byte array
+        # must refuse its entries of size 200 or more instead of wrapping them.
+        real_scan = verify.short_vectors
+
+        def padded_scan(lattice, target, bound):
+            big = (200,) + (0,) * (lattice.rank - 1)
+            return [tuple(-c for c in big), *real_scan(lattice, target, bound), big]
+
+        monkeypatch.setattr(verify, "short_vectors", padded_scan)
+        monkeypatch.setattr(verify, "Reflection", lambda lat, w: None)
+        with pytest.raises(OverflowError):
+            verify._generator_pool.__wrapped__()
+
+    def test_workers_agree_and_the_parent_keeps_only_its_own_letters(self, built):
+        cfg = TrialConfig(trials=300, seed=11)
+        serial = verify_phi_integrality(cfg, jobs=1).summary()
+        verify._generator_pool.cache_clear()
+        pool = verify._generator_pool()
+        built.clear()
+        assert verify_phi_integrality(cfg, jobs=2).summary() == serial
+        _no_child_left()
+        parent_built = list(built)
+        # At jobs=2 the parent evaluates the even trials, and a word is drawn as _phi_results draws it.
+        drawn = set()
+        for trial in range(0, cfg.trials, 2):
+            rng = substream(cfg.seed, trial)
+            length = rng.below(verify.DEFAULT_WORD_LENGTH + 1)
+            drawn.update(i for i in SplitMix64(mix64(rng.next_u64())).integers(0, len(pool) - 1, length) if i >= 2)
+        assert len(parent_built) == len(drawn)
+        assert set(parent_built) == {pool[i].w for i in drawn}
+        assert len(built) == len(parent_built)  # reading the drawn letters built nothing more
 
 
 class TestPhiFailureReporting:
