@@ -11,7 +11,6 @@ from .lattices import (
     Isometry,
     Lattice,
     cover_involution_h2,
-    definiteness,
     direct_sum,
     fixed_sublattice,
     is_isometry,
@@ -25,7 +24,6 @@ from .mukai import (
     MukaiVector,
     canonical_b_field,
     cover_involution,
-    cover_involution_matrix,
     exp_b,
     full_lattice,
     mukai_pairing,
@@ -65,8 +63,6 @@ __all__ = [
     "canonical_b_field",
     "cover_involution",
     "cover_involution_h2",
-    "cover_involution_matrix",
-    "definiteness",
     "determinant",
     "direct_sum",
     "e4_page",

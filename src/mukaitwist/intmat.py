@@ -129,10 +129,14 @@ class IntMatrix:
         return self._d[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError("matrix index out of range")
         return self._d[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self._d[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError("matrix index out of range")
+        return self._d[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -154,11 +158,6 @@ class IntMatrix:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
         return _kernels.matvec(self.sparse_rows, v)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix._raw(self.rows, self.cols, [a + b for a, b in zip(self._d, other._d)])
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -166,11 +165,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._raw(self.rows, self.cols, [-a for a in self._d])
-
-    def scale(self, k: int) -> "IntMatrix":
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise TypeError("scale factor must be an exact int")
-        return IntMatrix._raw(self.rows, self.cols, [k * a for a in self._d])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -76,14 +76,6 @@ class FGAbelianGroup(Record):
         super().__init__(free_rank, torsion)
 
     @classmethod
-    def trivial(cls) -> "FGAbelianGroup":
-        return cls(0)
-
-    @classmethod
-    def free(cls, n: int) -> "FGAbelianGroup":
-        return cls(n)
-
-    @classmethod
     def cyclic(cls, d: int) -> "FGAbelianGroup":
         """Z/d for any integer d: Z for 0, trivial for +-1, Z/|d| otherwise."""
         if d == 0:
@@ -110,13 +102,6 @@ class FGAbelianGroup(Record):
     @property
     def n_generators(self) -> int:
         return self.free_rank + len(self.torsion)
-
-    def torsion_order(self) -> int:
-        """Order of the torsion subgroup."""
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def reduce_element(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Normalize element coordinates: torsion entries reduced mod their factor.
@@ -172,7 +157,7 @@ class FGAbelianGroup(Record):
     def times(self, k: int) -> "FGAbelianGroup":
         """The subgroup k.G = {k x : x in G}, up to isomorphism."""
         if k == 0:
-            return FGAbelianGroup.trivial()
+            return FGAbelianGroup(0)
         k = abs(k)
         torsion = tuple(t for d in self.torsion if (t := d // gcd(d, k)) > 1)
         return FGAbelianGroup(self.free_rank, torsion)
@@ -239,11 +224,11 @@ class CohomologySpec(Record):
     def enriques(cls, twisted: bool) -> "CohomologySpec":
         """The Enriques surface: H* = (Z, 0, Z^10 + Z/2, Z/2, Z), twist optional."""
         return cls(
-            h0=FGAbelianGroup.free(1),
-            h1=FGAbelianGroup.trivial(),
+            h0=FGAbelianGroup(1),
+            h1=FGAbelianGroup(0),
             h2=FGAbelianGroup(10, (2,)),
             h3=FGAbelianGroup.cyclic(2),
-            h4=FGAbelianGroup.free(1),
+            h4=FGAbelianGroup(1),
             alpha=(1,) if twisted else (0,),
         )
 

@@ -20,6 +20,8 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from . import _kernels
+# signature is not used here: the package re-exports it from this module, and
+# the benchmark's tracer wraps it as mukaitwist.lattices.signature.
 from .intmat import IntMatrix, determinant, kernel_basis, signature
 
 Vector = tuple[int, ...]
@@ -213,7 +215,8 @@ def fixed_sublattice(
     matrix = isometry.matrix if isinstance(isometry, Isometry) else isometry
     if matrix.shape != (lattice.rank, lattice.rank):
         raise ValueError("matrix shape does not match lattice rank")
-    shifted = matrix - IntMatrix.identity(lattice.rank).scale(sign)
+    identity = IntMatrix.identity(lattice.rank)
+    shifted = matrix - (identity if sign == 1 else -identity)
     basis = kernel_basis(shifted)
     restricted = basis.transpose() @ lattice.gram @ basis
     return basis, restricted
@@ -272,13 +275,8 @@ def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[
     return _kernels.norm_scan(lattice.gram.flat, lattice.rank, target_norm, coord_bound)
 
 
-def definiteness(gram: IntMatrix) -> str:
-    """'positive definite', 'negative definite', 'indefinite' or 'degenerate'."""
-    return definiteness_from_signature(signature(gram))
-
-
 def definiteness_from_signature(sig: tuple[int, int, int]) -> str:
-    """definiteness() of a form whose signature() is sig, without a second elimination."""
+    """'positive definite', 'negative definite', 'indefinite' or 'degenerate' for a form of signature sig."""
     pos, zero, neg = sig
     if zero:
         return "degenerate"

@@ -20,8 +20,8 @@ z3 = (1/2, 1/2); the twisted involution
 
 is integral and squares to the identity. Its one closed form is
 twisted_involution_coords, on the 24 coordinates; twisted_involution applies
-it to a MukaiVector. Both 24x24 matrices, of T and of the cover involution,
-are IntMatrix.of_map of their coordinate forms.
+it to a MukaiVector. T's 24x24 matrix is IntMatrix.of_map of that closed
+form; the cover involution's only matrix is the 22x22 cover_involution_h2.
 MukaiVector has one constructor: every vector passes through its __init__.
 """
 from __future__ import annotations
@@ -153,14 +153,9 @@ def mukai_pairing(u: MukaiVector, v: MukaiVector) -> Scalar:
 _cover_swap_c = itemgetter(*(i + 1 for i in COVER_SWAP))
 
 
-def _cover_involution_coords(x: tuple) -> tuple:
-    """The cover involution on 24 coordinates: identity on r and s."""
-    return (x[0], *cover_involution_coords(x[1:23]), x[23])
-
-
 def cover_involution(v: MukaiVector) -> MukaiVector:
     """Extend the K3 cover involution by the identity on H0 and H4."""
-    return MukaiVector.from_coords(_cover_involution_coords(v.coords()))
+    return MukaiVector(v.r, cover_involution_coords(v.c), v.s)
 
 
 def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
@@ -210,9 +205,3 @@ def full_lattice() -> Lattice:
 def twisted_involution_matrix() -> Isometry:
     """The 24x24 integer matrix of the twisted involution, as an isometry."""
     return Isometry(full_lattice(), IntMatrix.of_map(twisted_involution_coords, FULL_RANK))
-
-
-@lru_cache(maxsize=None)
-def cover_involution_matrix() -> Isometry:
-    """The 24x24 matrix of the cover involution extended to the full lattice."""
-    return Isometry(full_lattice(), IntMatrix.of_map(_cover_involution_coords, FULL_RANK))

@@ -200,7 +200,7 @@ class TestLatticeCommand:
         assert code == 0
         assert len(calls) == 1
         monkeypatch.undo()
-        assert doc["result"]["definiteness"] == lattices.definiteness(calls[0])
+        assert doc["result"]["definiteness"] == lattices.definiteness_from_signature(lattices.signature(calls[0]))
         assert doc["result"]["det"] == lattices.determinant(calls[0])
 
     def test_unknown_name_rejected(self, capsys):

@@ -314,3 +314,14 @@ class TestIntMatrix:
     def test_mul_vec_length_check(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2).mul_vec((1, 2, 3))
+
+    @pytest.mark.parametrize("index", [-4, -1, 0, 1, 2, 3, 5])
+    def test_row_and_column_read_only_inside_the_matrix(self, index):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        rows, cols = [(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 5), (3, 6)]
+        for read, expected in ((m.row, rows), (m.column, cols)):
+            if 0 <= index < len(expected):
+                assert read(index) == expected[index]
+            else:
+                with pytest.raises(IndexError, match="matrix index out of range"):
+                    read(index)

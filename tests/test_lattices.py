@@ -9,7 +9,6 @@ from mukaitwist import (
     IntMatrix,
     Isometry,
     Lattice,
-    definiteness,
     determinant,
     direct_sum,
     fixed_sublattice,
@@ -43,7 +42,7 @@ class TestStandardLattices:
         assert MINUS_E8.rank == 8
         assert MINUS_E8.is_even()
         assert MINUS_E8.det() == 1
-        assert definiteness(MINUS_E8.gram) == "negative definite"
+        assert definiteness_from_signature(signature(MINUS_E8.gram)) == "negative definite"
 
     def test_minus_e8_leading_minors_alternate(self):
         # (-1)^k * minor > 0 certifies negative definiteness independently
@@ -55,7 +54,7 @@ class TestStandardLattices:
 
     def test_e8_is_positive_definite_unimodular(self):
         assert determinant(E8.gram) == 1
-        assert definiteness(E8.gram) == "positive definite"
+        assert definiteness_from_signature(signature(E8.gram)) == "positive definite"
 
     def test_mukai_h2(self):
         assert H2.rank == 22
@@ -428,7 +427,7 @@ class TestSignature:
 
     def test_hyperbolic(self):
         assert signature(U.gram) == (1, 0, 1)
-        assert definiteness(U.gram) == "indefinite"
+        assert definiteness_from_signature(signature(U.gram)) == "indefinite"
 
     def test_definite_blocks(self):
         assert signature(E8.gram) == (8, 0, 0)
@@ -440,7 +439,7 @@ class TestSignature:
     def test_degenerate(self):
         g = IntMatrix.from_rows([[0, 0], [0, 1]])
         assert signature(g) == (1, 1, 0)
-        assert definiteness(g) == "degenerate"
+        assert definiteness_from_signature(signature(g)) == "degenerate"
 
     @pytest.mark.parametrize(
         "sig, expected",

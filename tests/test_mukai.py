@@ -12,7 +12,6 @@ from mukaitwist import (
     canonical_b_field,
     cover_involution,
     cover_involution_h2,
-    cover_involution_matrix,
     exp_b,
     full_lattice,
     is_isometry,
@@ -107,17 +106,10 @@ class TestCoverInvolution:
             u, v = random_integral(rng, 9), random_rational(rng, 9)
             assert mukai_pairing(cover_involution(u), cover_involution(v)) == mukai_pairing(u, v)
 
-    def test_matrix_matches_vector_action(self):
-        rng = random.Random(6)
-        m = cover_involution_matrix()
-        for _ in range(50):
-            v = random_integral(rng, 9)
-            assert tuple(m(v.coords())) == cover_involution(v).coords()
-
     def test_h2_matrix_is_the_degree_two_block(self):
-        full = cover_involution_matrix().matrix.to_rows()
-        block = [row[1:23] for row in full[1:23]]
-        assert cover_involution_h2().matrix.to_rows() == block
+        # The vector form and the 22x22 matrix, the two remaining forms of the cover involution, agree.
+        block = IntMatrix.of_map(lambda c: cover_involution(MukaiVector.from_h2(c)).c, 22)
+        assert block == cover_involution_h2().matrix
 
 
 class TestBField:
@@ -246,13 +238,12 @@ class TestTwistedInvolutionMatrix:
         assert is_isometry(full_lattice(), twisted_involution_matrix().matrix)
 
     def test_matrices_are_built_without_mukai_vectors(self, monkeypatch):
-        # Both matrices come from the 24-coordinate closed forms alone.
-        builds = (twisted_involution_matrix, cover_involution_matrix)
-        cached = [build() for build in builds]
+        # The one 24x24 matrix, of T, comes from the 24-coordinate closed form alone.
+        cached = twisted_involution_matrix()
         made = []
         real_init = MukaiVector.__init__
         monkeypatch.setattr(MukaiVector, "__init__", lambda self, *args: made.append(args) or real_init(self, *args))
-        assert [build.__wrapped__() for build in builds] == cached
+        assert twisted_involution_matrix.__wrapped__() == cached
         assert made == []
 
 

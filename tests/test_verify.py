@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import mukaitwist.mukai as mukai
 import mukaitwist.verify as verify
 from conftest import reflection_matrix
 from mukaitwist import (
@@ -41,7 +40,7 @@ from mukaitwist import (
     verify_phi_integrality,
     verify_square_congruence,
 )
-from mukaitwist.lattices import COVER_SWAP, Reflection
+from mukaitwist.lattices import COVER_SWAP, Reflection, cover_involution_coords
 from mukaitwist.prng import SplitMix64, mix64, substream
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
@@ -673,7 +672,9 @@ class TestTupleRoute:
 
     def test_untwisted_involution_fails_the_characteristic_check(self, monkeypatch):
         # The cover involution alone negates the z3 block (a, a) of a closed-form vector.
-        monkeypatch.setattr(verify, "twisted_involution_coords", mukai._cover_involution_coords)
+        monkeypatch.setattr(
+            verify, "twisted_involution_coords", lambda x: (x[0], *cover_involution_coords(x[1:23]), x[23])
+        )
         report = verify_characteristic_congruence(TrialConfig(trials=50, seed=0))
         assert not report.passed and report.trials_run == 1
         ce = report.counterexample
