@@ -73,9 +73,18 @@ def quadform(rows, v, _bilinear=bilinear):
 class SparseRows(tuple):
     """A matrix's sparse rows, holding its compiled matvec and bilinear forms.
 
-    Each form is generated and compiled on its first use and kept as an
-    instance attribute, so it is built once per matrix.
+    Each form is generated and compiled on its first use and kept in the
+    instance __dict__, so it is built once per matrix. Every pairing with
+    the matrix runs the form kept here, so assignment and deletion are
+    refused, with the messages of mukaitwist._record.Record; this module
+    imports nothing from the package.
     """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: SparseRows is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: SparseRows is immutable")
 
     def __getattr__(self, name):
         build = _SOURCES.get(name)

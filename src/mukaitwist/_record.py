@@ -1,13 +1,19 @@
-"""Record: the immutable value base of TrialConfig, VerificationReport, E4Page,
-FGAbelianGroup and CohomologySpec.
+"""Record: the immutable value base of IntMatrix, Lattice, Isometry, Reflection,
+MukaiVector, BField, TrialConfig, VerificationReport, E4Page, FGAbelianGroup
+and CohomologySpec.
 
 It does what a frozen dataclass would, without importing dataclasses (and
-with it inspect) at start-up. A subclass names its fields in _fields and
-passes their values, in that order, to Record.__init__. Equality and the
-hash read _key(), all fields by default; equality holds only between
-instances of the same class. Fields live in the instance __dict__, so
-pickle and copy restore them without going through __setattr__.
+with it inspect) at start-up. A subclass lists its constructor's arguments,
+in order, in _fields, and sets each field once: through Record.__init__, or
+through set_field where a constructor or a lazy cache writes its own slots.
+Equality and the hash read _key(), all fields by default; equality holds
+only between instances of the same class. Pickle and copy rebuild a value
+through its constructor from its field values, so a copy passes the same
+checks as the original, and a slotted record pickles at every protocol.
 """
+
+# object.__setattr__, which writes a slot past Record.__setattr__.
+set_field = object.__setattr__
 
 
 class Record:
@@ -16,13 +22,16 @@ class Record:
 
     def __init__(self, *values):
         for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

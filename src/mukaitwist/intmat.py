@@ -1,8 +1,9 @@
 """Dense exact-integer matrices: Hermite/Smith normal forms, kernels, determinants, signatures.
 
 Entries are Python ints, so nothing can overflow silently; intermediate
-swell in the normal forms is absorbed by arbitrary precision. Matrices are
-immutable after construction and all functions here are pure.
+swell in the normal forms is absorbed by arbitrary precision. IntMatrix is a
+record (mukaitwist._record.Record): it refuses assignment, so a matrix that
+a cache shares cannot change, and all functions here are pure.
 
 Conventions, fixed once so golden tests are stable:
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import _kernels
+from ._record import Record, set_field
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -42,16 +44,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class IntMatrix:
-    """Immutable dense matrix over the integers."""
+class IntMatrix(Record):
+    """Immutable dense matrix over the integers, its entries flat in row-major order."""
 
     __slots__ = ("rows", "cols", "_d", "_sparse")
+    _fields = ("rows", "cols", "flat")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+    def __init__(self, rows: int, cols: int, flat: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         data = []
-        for e in entries:
+        for e in flat:
             if isinstance(e, bool):
                 e = int(e)
             elif not isinstance(e, int):
@@ -59,17 +62,17 @@ class IntMatrix:
             data.append(e)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
-        self._d = tuple(data)
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "_d", tuple(data))
 
     @classmethod
     def _raw(cls, rows: int, cols: int, data: Iterable[int]) -> "IntMatrix":
         # Trusted path for entries produced by our own integer kernels.
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._d = tuple(data)
+        set_field(m, "rows", rows)
+        set_field(m, "cols", cols)
+        set_field(m, "_d", tuple(data))
         return m
 
     @classmethod
@@ -117,10 +120,11 @@ class IntMatrix:
             return self._sparse
         except AttributeError:
             c, d = self.cols, self._d
-            self._sparse = _kernels.SparseRows(
+            sparse = _kernels.SparseRows(
                 tuple((j, a) for j, a in enumerate(d[i * c : (i + 1) * c]) if a) for i in range(self.rows)
             )
-            return self._sparse
+            set_field(self, "_sparse", sparse)
+            return sparse
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -178,17 +182,6 @@ class IntMatrix:
             return False
         n, d = self.rows, self._d
         return all(d[i * n + j] == d[j * n + i] for i in range(n) for j in range(i + 1, n))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self._d == other._d
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._d))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
 def _row_gcd_step(a: list[list[int]], u: list[list[int]], piv: int, i: int, col: int) -> None:

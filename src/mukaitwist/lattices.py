@@ -2,7 +2,9 @@
 
 A lattice is a free Z-module of finite rank with a fixed basis and a
 symmetric integer Gram matrix. Vectors are plain tuples of coordinates in
-that basis. Everything is immutable; all functions are pure.
+that basis. Lattice, Isometry and Reflection are records
+(mukaitwist._record.Record): they refuse assignment, so the lattices that
+standard_lattice caches cannot change. All functions are pure.
 
 Basis conventions (pinned so tests are reproducible):
 
@@ -20,6 +22,7 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from . import _kernels
+from ._record import Record, set_field
 # signature is not used here: the package re-exports it from this module, and
 # the benchmark's tracer wraps it as mukaitwist.lattices.signature.
 from .intmat import IntMatrix, determinant, kernel_basis, signature
@@ -27,18 +30,21 @@ from .intmat import IntMatrix, determinant, kernel_basis, signature
 Vector = tuple[int, ...]
 
 
-class Lattice:
-    """A free Z-module with a symmetric integer Gram form."""
+class Lattice(Record):
+    """A free Z-module with a symmetric integer Gram form; the label does not enter equality."""
 
     __slots__ = ("gram", "rank", "label", "_det")
+    _fields = ("gram", "label")
 
     def __init__(self, gram: IntMatrix, label: str = ""):
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        self.gram = gram
-        self.rank = gram.rows
-        self.label = label
-        self._det: int | None = None
+        super().__init__(gram, label)
+        set_field(self, "rank", gram.rows)
+        set_field(self, "_det", None)
+
+    def _key(self) -> tuple:
+        return (self.gram,)
 
     def _check_length(self, v: Sequence) -> None:
         if len(v) != self.rank:
@@ -63,32 +69,23 @@ class Lattice:
 
     def det(self) -> int:
         if self._det is None:
-            self._det = determinant(self.gram)
+            set_field(self, "_det", determinant(self.gram))
         return self._det
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return self.gram == other.gram
 
-    def __repr__(self) -> str:
-        tag = f" {self.label!r}" if self.label else ""
-        return f"Lattice(rank={self.rank}{tag})"
-
-
-class Isometry:
+class Isometry(Record):
     """A form-preserving automorphism of a lattice, acting on coordinate columns.
 
     Construction raises ValueError unless is_isometry holds.
     """
 
     __slots__ = ("lattice", "matrix")
+    _fields = ("lattice", "matrix")
 
     def __init__(self, lattice: Lattice, matrix: IntMatrix):
         if not is_isometry(lattice, matrix):
             raise ValueError("matrix does not preserve the Gram form or is not unimodular")
-        self.lattice = lattice
-        self.matrix = matrix
+        super().__init__(lattice, matrix)
 
     def __call__(self, v: Sequence[int]) -> Vector:
         return self.matrix.mul_vec(v)
@@ -99,14 +96,6 @@ class Isometry:
         if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise ValueError("isometries act on different lattices")
         return Isometry(self.lattice, self.matrix @ other.matrix)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Isometry):
-            return NotImplemented
-        return self.lattice == other.lattice and self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"Isometry(rank={self.lattice.rank})"
 
 
 def is_isometry(lattice: Lattice, matrix: IntMatrix) -> bool:
@@ -222,7 +211,7 @@ def fixed_sublattice(
     return basis, restricted
 
 
-class Reflection:
+class Reflection(Record):
     """The reflection x -> x - (2 <x,w> / <w,w>) w in a vector w of square +2 or -2.
 
     It acts on a vector as a rank-one update: one inner product with the
@@ -232,6 +221,7 @@ class Reflection:
     """
 
     __slots__ = ("lattice", "w", "_gw", "_sign")
+    _fields = ("lattice", "w")
 
     def __init__(self, lattice: Lattice, w: Sequence[int]):
         lattice._check_length(w)
@@ -240,10 +230,10 @@ class Reflection:
         n2 = sum(map(mul, w, gw))
         if n2 not in (2, -2):
             raise ValueError(f"reflection vector must have square +-2, got {n2}")
-        self.lattice = lattice
-        self.w = w
-        self._gw = gw
-        self._sign = n2 // 2  # 2 / <w,w>
+        set_field(self, "lattice", lattice)
+        set_field(self, "w", w)
+        set_field(self, "_gw", gw)
+        set_field(self, "_sign", n2 // 2)  # 2 / <w,w>
 
     def __call__(self, x: Sequence[int]) -> Vector:
         self.lattice._check_length(x)

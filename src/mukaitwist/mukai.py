@@ -30,6 +30,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from operator import add, itemgetter
 
+from ._record import Record, set_field
 from .intmat import IntMatrix
 from .lattices import COVER_SWAP, Isometry, Lattice, cover_involution_coords, standard_lattice
 
@@ -53,17 +54,23 @@ def _norm_scalar(x) -> Scalar:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class MukaiVector:
+class MukaiVector(Record):
     """An element (r, c, s) of the (rational) Mukai lattice, held as its 24 coordinates."""
 
     __slots__ = ("_coords",)
+    _fields = ("r", "c", "s")
 
     def __init__(self, r: Scalar, c: Sequence[Scalar], s: Scalar):
         coords = (r, *c, s)
         if len(coords) != FULL_RANK:
             raise ValueError(f"degree-2 part must have {H2_RANK} coordinates, got {len(coords) - 2}")
         # Exact ints (not bool) are already normal; only other entries need _norm_scalar.
-        self._coords = coords if _INT_ONLY.issuperset(map(type, coords)) else tuple(map(_norm_scalar, coords))
+        if not _INT_ONLY.issuperset(map(type, coords)):
+            coords = tuple(map(_norm_scalar, coords))
+        set_field(self, "_coords", coords)
+
+    def _key(self) -> tuple:
+        return (self._coords,)  # r, c and s in the one tuple they view
 
     @classmethod
     def from_h2(cls, c: Sequence[Scalar]) -> "MukaiVector":
@@ -87,38 +94,28 @@ class MukaiVector:
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector.from_coords(tuple(map(add, self._coords, other._coords)))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MukaiVector):
-            return NotImplemented
-        return self._coords == other._coords
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.c, self.s))
-
-    def __repr__(self) -> str:
-        return f"MukaiVector(r={self.r}, c={self.c}, s={self.s})"
-
 
 def point_class() -> MukaiVector:
     """The H4 generator (0, 0, 1); fixed by the twisted involution."""
     return MukaiVector(0, (0,) * H2_RANK, 1)
 
 
-class BField:
+class BField(Record):
     """A rational degree-2 class used to twist the Mukai lattice."""
 
     __slots__ = ("coords", "_sq")
+    _fields = ("coords",)
 
     def __init__(self, coords: Sequence[Scalar]):
         coords = tuple(_norm_scalar(x) for x in coords)
         if len(coords) != H2_RANK:
             raise ValueError(f"B-field must have {H2_RANK} coordinates, got {len(coords)}")
-        self.coords = coords
-        self._sq: Scalar | None = None
+        super().__init__(coords)
+        set_field(self, "_sq", None)
 
     def square(self) -> Scalar:
         if self._sq is None:
-            self._sq = standard_lattice("mukai_h2").inner(self.coords, self.coords)
+            set_field(self, "_sq", standard_lattice("mukai_h2").inner(self.coords, self.coords))
         return self._sq
 
     def times(self, k: Scalar) -> "BField":
@@ -126,14 +123,6 @@ class BField:
 
     def __neg__(self) -> "BField":
         return self.times(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BField):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __repr__(self) -> str:
-        return f"BField({self.coords})"
 
 
 def canonical_b_field() -> BField:

@@ -1,19 +1,34 @@
 """A catalogue of mutants of the seam where the checks meet T and the full Gram.
 
-Each row breaks T or the full Gram in mukai and in verify together: T as
+Each row is one patch of the seam. A row that breaks T or the full Gram
+breaks it in mukai and in verify together: T as
 mukai.twisted_involution_coords, from which twisted_involution_matrix() is
 built, and verify's binding of it; the Gram as mukai.full_lattice and
-verify's binding of it. Each row states, for each of the four checks, how
-that check catches the mutant:
+verify's binding of it. The other rows patch one name of verify alone: the
+cover involution (verify.cover_involution_coords), l + Tl (verify._doubled)
+or the pairing of 24-tuples (verify._pairing). Each row states, for each of
+the four checks, how that check catches the mutant:
 
-* EQUIVALENT -- the check passes; the mutant is equivalent for it, since it
-  reads only degree-2 classes (0, l, 0), where r = s = 0;
+* EQUIVALENT -- the check passes; the mutant changes nothing its verdict
+  depends on. The square check reads T and the full Gram only on degree-2
+  classes (0, l, 0), where r = s = 0;
 * REFUSED -- the check raises ValueError, because twisted_involution_matrix()
-  refuses a T that does not preserve the full Gram.
+  refuses a T that does not preserve the full Gram;
+* COUNTEREXAMPLE -- the check reports a failure, with a counterexample.
 
 A refused T is a fault that no check yet reports as a counterexample; the
 rows that read REFUSED change when one does.
+
+Two mutants are known to be equivalent and have no row:
+
+* <(0,0,1), w> replaced by -w[0]: the same value, since the full Gram's
+  last row holds -1 at column 0 and nothing else;
+* the untwisted cover involution as T, on the square claim alone: l . tau(l)
+  is even and mukai_h2 is even, so (l + tau(l))^2 = 2 l^2 + 2 l . tau(l) is
+  0 mod 4 too. Its row below pins the other three checks.
 """
+from operator import itemgetter
+
 import pytest
 
 import mukaitwist.mukai as mukai
@@ -22,11 +37,13 @@ from mukaitwist import (
     IntMatrix,
     Lattice,
     TrialConfig,
+    standard_lattice,
     verify_characteristic_congruence,
     verify_invariant_lattice,
     verify_phi_integrality,
     verify_square_congruence,
 )
+from mukaitwist.lattices import COVER_SWAP, cover_involution_coords
 
 CFG = TrialConfig(trials=20, seed=0)
 
@@ -37,8 +54,9 @@ CHECKS = {
     "phi": lambda: verify_phi_integrality(CFG, word_length=4),
 }
 
-EQUIVALENT = "passes: an equivalent mutant for a check that reads only (0, l, 0), where r = s = 0"
+EQUIVALENT = "passes: the mutant changes nothing the check's verdict depends on"
 REFUSED = "raises ValueError: twisted_involution_matrix() refuses a T that does not preserve the full Gram"
+COUNTEREXAMPLE = "fails, with a counterexample"
 
 # The caches built from T and the full Gram.
 CACHES = (mukai.twisted_involution_matrix, verify._invariant_basis, verify._generator_pool)
@@ -64,16 +82,26 @@ def _patch_t(monkeypatch, t):
     monkeypatch.setattr(verify, "twisted_involution_coords", t)
 
 
-def _patch_gram_r_s(monkeypatch):
-    """The full Gram with +1 at (0, 23) and (23, 0), where it has -1."""
+def _patch_gram(monkeypatch, entries):
+    """The full Gram with each (i, j) of entries, and (j, i), set to its value."""
     rows = mukai.full_lattice().gram.to_rows()
-    rows[0][23] = rows[23][0] = 1
+    for (i, j), value in entries.items():
+        rows[i][j] = rows[j][i] = value
     wrong = Lattice(IntMatrix.from_rows(rows), "mutant")
     monkeypatch.setattr(mukai, "full_lattice", lambda: wrong)
     monkeypatch.setattr(verify, "full_lattice", lambda: wrong)
 
 
-ALL_BUT_SQUARE_REFUSED = {"square": EQUIVALENT, "characteristic": REFUSED, "invariant-lattice": REFUSED, "phi": REFUSED}
+def _pairing_on_h2(u, v):
+    """The pairing of the degree-2 blocks alone, through mukai_h2."""
+    return standard_lattice("mukai_h2").inner(u[1:23], v[1:23])
+
+
+def _outcomes(square, characteristic, invariant_lattice, phi):
+    return {"square": square, "characteristic": characteristic, "invariant-lattice": invariant_lattice, "phi": phi}
+
+
+ALL_BUT_SQUARE_REFUSED = _outcomes(EQUIVALENT, REFUSED, REFUSED, REFUSED)
 
 # name -> (the patch, how each check catches it)
 MUTANTS = {
@@ -94,8 +122,40 @@ MUTANTS = {
         ALL_BUT_SQUARE_REFUSED,
     ),
     "full Gram with +1 at (0, 23) and (23, 0)": (
-        _patch_gram_r_s,
+        lambda mp: _patch_gram(mp, {(0, 23): 1}),
         ALL_BUT_SQUARE_REFUSED,
+    ),
+    # The cover involution preserves the full Gram, so twisted_involution_matrix()
+    # accepts it. It moves the closed-form invariant vectors, whose z3 block is
+    # (a, a), and its invariant lattice holds H0 and H4, which pair to -1.
+    "untwisted cover involution as T": (
+        lambda mp: _patch_t(mp, lambda x: (x[0], *cover_involution_coords(x[1:23]), x[23])),
+        _outcomes(EQUIVALENT, COUNTEREXAMPLE, COUNTEREXAMPLE, COUNTEREXAMPLE),
+    ),
+    "T with z3 swapped, not negated": (
+        lambda mp: _patch_t(mp, _t_with(lambda r, a, b: (r + b, r + a), lambda r, a, b: r - a - b)),
+        _outcomes(COUNTEREXAMPLE, REFUSED, REFUSED, REFUSED),
+    ),
+    # (0,0,1)^2 = 1: (l + Tl)^2 gains (a + b)^2 for l's z3 block (a, b).
+    "full Gram with 1 at (23, 23)": (
+        lambda mp: _patch_gram(mp, {(23, 23): 1}),
+        _outcomes(COUNTEREXAMPLE, REFUSED, REFUSED, REFUSED),
+    ),
+    # Only the square case applies the cover involution on its own.
+    "cover involution keeping z3": (
+        lambda mp: mp.setattr(verify, "cover_involution_coords", itemgetter(*COVER_SWAP, 20, 21)),
+        _outcomes(COUNTEREXAMPLE, EQUIVALENT, EQUIVALENT, EQUIVALENT),
+    ),
+    # 2l in place of l + Tl meets every congruence that l + Tl must, so no check
+    # catches it; tests/test_verify.py's pinned counterexample does.
+    "l + Tl as l + l": (
+        lambda mp: mp.setattr(verify, "_doubled", lambda ell: tuple(2 * x for x in (0, *ell, 0))),
+        _outcomes(EQUIVALENT, EQUIVALENT, EQUIVALENT, EQUIVALENT),
+    ),
+    # On (0, l, 0) + T(0, l, 0) the dropped terms -r s' - r' s vanish, as r = 0.
+    "pairing of the degree-2 blocks alone": (
+        lambda mp: mp.setattr(verify, "_pairing", _pairing_on_h2),
+        _outcomes(EQUIVALENT, COUNTEREXAMPLE, EQUIVALENT, EQUIVALENT),
     ),
 }
 
@@ -119,8 +179,10 @@ def test_mutant_is_caught_as_catalogued(seam, mutant):
     patch, outcomes = MUTANTS[mutant]
     patch(seam)
     for check, outcome in outcomes.items():
-        if outcome is EQUIVALENT:
-            assert CHECKS[check]().passed, f"{check}: expected {outcome}"
-        else:
+        if outcome is REFUSED:
             with pytest.raises(ValueError, match="does not preserve the Gram form"):
                 CHECKS[check]()
+        else:
+            report = CHECKS[check]()
+            assert report.passed is (outcome is EQUIVALENT), f"{check}: expected {outcome}"
+            assert (report.counterexample is not None) is (outcome is COUNTEREXAMPLE)

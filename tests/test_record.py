@@ -1,10 +1,29 @@
 """The immutable records share one base: assignment, pickling, repr, hash."""
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
-from mukaitwist import CohomologySpec, E4Page, FGAbelianGroup, TrialConfig, VerificationReport, e4_page
+from mukaitwist import (
+    BField,
+    CohomologySpec,
+    E4Page,
+    FGAbelianGroup,
+    IntMatrix,
+    Isometry,
+    Lattice,
+    MukaiVector,
+    TrialConfig,
+    VerificationReport,
+    canonical_b_field,
+    cover_involution_h2,
+    e4_page,
+    full_lattice,
+    standard_lattice,
+    verify_square_congruence,
+)
+from mukaitwist.lattices import Reflection
 
 RECORDS = [
     TrialConfig(trials=5, seed=3, coord_bound=9),
@@ -12,6 +31,12 @@ RECORDS = [
     e4_page(CohomologySpec.enriques(twisted=True)),
     FGAbelianGroup(1, (2, 4)),
     CohomologySpec.enriques(twisted=True),
+    IntMatrix(2, 3, [1, -2, 0, 4, 5, -6]),
+    standard_lattice("u"),
+    cover_involution_h2(),
+    Reflection(standard_lattice("e8"), (1, 0, 0, 0, 0, 0, 0, 0)),  # a root of E8
+    MukaiVector(Fraction(1, 2), (0,) * 21 + (3,), -1),
+    canonical_b_field(),
 ]
 
 
@@ -65,8 +90,21 @@ def test_one_private_base():
     import mukaitwist
     from mukaitwist._record import Record
 
-    records = (TrialConfig, VerificationReport, E4Page, FGAbelianGroup, CohomologySpec)
+    records = (
+        TrialConfig,
+        VerificationReport,
+        E4Page,
+        FGAbelianGroup,
+        CohomologySpec,
+        IntMatrix,
+        Lattice,
+        Isometry,
+        Reflection,
+        MukaiVector,
+        BField,
+    )
     assert all(issubclass(cls, Record) for cls in records)
+    assert {type(record) for record in RECORDS} == set(records)
     assert "Record" not in dir(mukaitwist)
 
 
@@ -79,3 +117,34 @@ def test_assignment_cannot_bypass_the_checks():
     with pytest.raises(AttributeError):
         group.torsion = (4, 2)
     assert spec.alpha == (1,) and group.torsion == (2,)
+
+
+def test_a_cached_lattice_cannot_be_poisoned():
+    # Each assignment, if it took, would change every later check in the process:
+    # the first fails the square check, the second splits the full Gram's entries
+    # from its compiled form.
+    h2 = standard_lattice("mukai_h2")
+    gram = full_lattice().gram
+    saved_gram, saved_entries = h2.gram, gram.flat
+    try:
+        with pytest.raises(AttributeError):
+            h2.gram = IntMatrix.identity(22)
+        with pytest.raises(AttributeError):
+            gram._d = (0,) * 576
+    finally:
+        object.__setattr__(h2, "gram", saved_gram)
+        object.__setattr__(gram, "_d", saved_entries)
+    assert verify_square_congruence(TrialConfig(trials=50)).passed
+
+
+def test_compiled_forms_refuse_assignment():
+    rows = full_lattice().gram.sparse_rows
+    form = rows.bilinear
+    try:
+        with pytest.raises(AttributeError, match="cannot assign to field 'bilinear': SparseRows is immutable"):
+            rows.bilinear = lambda u, v: 0
+        with pytest.raises(AttributeError, match="cannot delete field 'bilinear': SparseRows is immutable"):
+            del rows.bilinear
+    finally:
+        rows.__dict__["bilinear"] = form
+    assert rows.bilinear is form
