@@ -3,9 +3,9 @@
 Everything is computed over Z or Q with arbitrary precision; there is no
 floating point anywhere. No value changes after construction: every value
 type, from IntMatrix, Lattice and MukaiVector to the result records
-TrialConfig, VerificationReport and E4Page, is a record that refuses
-assignment. All operations are pure functions, so concurrent use needs no
-coordination.
+TrialConfig, VerificationReport and E4Page and the phi generator pool, is a
+record that refuses assignment. Only a SplitMix64 generator changes state.
+All operations are pure functions, so concurrent use needs no coordination.
 """
 from .intmat import IntMatrix, determinant, hermite_normal_form, kernel_basis, smith_normal_form, solve
 from .ktheory import CohomologySpec, E4Page, FGAbelianGroup, SpecFormatError, e4_page, k1_surface

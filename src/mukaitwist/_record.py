@@ -1,6 +1,6 @@
-"""Record: the immutable value base of IntMatrix, Lattice, Isometry, Reflection,
-MukaiVector, BField, TrialConfig, VerificationReport, E4Page, FGAbelianGroup
-and CohomologySpec.
+"""Record: the immutable value base of IntMatrix, Lattice, Isometry, MukaiVector,
+BField, TrialConfig, VerificationReport, E4Page, FGAbelianGroup,
+CohomologySpec and the phi generator pool (verify._Pool).
 
 It does what a frozen dataclass would, without importing dataclasses (and
 with it inspect) at start-up. A subclass lists its constructor's arguments,

@@ -2,9 +2,10 @@
 
 A lattice is a free Z-module of finite rank with a fixed basis and a
 symmetric integer Gram matrix. Vectors are plain tuples of coordinates in
-that basis. Lattice, Isometry and Reflection are records
-(mukaitwist._record.Record): they refuse assignment, so the lattices that
-standard_lattice caches cannot change. All functions are pure.
+that basis. Lattice and Isometry are records (mukaitwist._record.Record):
+they refuse assignment, so the lattices that standard_lattice caches cannot
+change. A reflection is no object: reflection_dual checks its vector and
+returns its dual, and reflect applies it to a vector. All functions are pure.
 
 Basis conventions (pinned so tests are reproducible):
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 
 from . import _kernels
 from ._record import Record, set_field
@@ -211,45 +212,34 @@ def fixed_sublattice(
     return basis, restricted
 
 
-class Reflection(Record):
-    """The reflection x -> x - (2 <x,w> / <w,w>) w in a vector w of square +2 or -2.
+def reflection_dual(lattice: Lattice, w: Sequence[int]) -> Vector:
+    """2 G w / <w,w> for a vector w of square +2 or -2: the dual of the reflection in w.
 
-    It acts on a vector as a rank-one update: one inner product with the
-    stored G w, then a multiple of w subtracted. The matrix is derived from
-    that action on demand. As <w,w> = +-2, the coefficient is +-<x,w>, so
-    the reflection is integral on every integral lattice.
+    The reflection x -> x - (2 <x,w> / <w,w>) w is x -> x - <x, dual> w,
+    see reflect. As <w,w> = +-2, the dual is +-G w, so the reflection is
+    integral on every integral lattice. This is the one place the square
+    of a reflection vector is checked.
     """
+    lattice._check_length(w)
+    gw = _kernels.matvec(lattice.gram.sparse_rows, w)
+    n2 = sum(map(mul, w, gw))
+    if n2 not in (2, -2):
+        raise ValueError(f"reflection vector must have square +-2, got {n2}")
+    return gw if n2 == 2 else tuple(map(neg, gw))
 
-    __slots__ = ("lattice", "w", "_gw", "_sign")
-    _fields = ("lattice", "w")
 
-    def __init__(self, lattice: Lattice, w: Sequence[int]):
-        lattice._check_length(w)
-        w = tuple(w)
-        gw = _kernels.matvec(lattice.gram.sparse_rows, w)
-        n2 = sum(map(mul, w, gw))
-        if n2 not in (2, -2):
-            raise ValueError(f"reflection vector must have square +-2, got {n2}")
-        set_field(self, "lattice", lattice)
-        set_field(self, "w", w)
-        set_field(self, "_gw", gw)
-        set_field(self, "_sign", n2 // 2)  # 2 / <w,w>
-
-    def __call__(self, x: Sequence[int]) -> Vector:
-        self.lattice._check_length(x)
-        k = self._sign * sum(map(mul, x, self._gw))
-        if not k:
-            return tuple(x)
-        return tuple(xi - k * wi for xi, wi in zip(x, self.w))
-
-    @property
-    def matrix(self) -> IntMatrix:
-        return IntMatrix.of_map(self, self.lattice.rank)
+def reflect(x: Sequence[int], w: Sequence[int], dual: Sequence[int]) -> Vector:
+    """x - <x, dual> w: the reflection in w applied to x, for dual = reflection_dual(lattice, w)."""
+    k = sum(map(mul, x, dual))
+    if not k:
+        return tuple(x)
+    return tuple(xi - k * wi for xi, wi in zip(x, w))
 
 
 def reflection(lattice: Lattice, w: Sequence[int]) -> Isometry:
-    """Reflection in a vector of square +2 or -2, as an isometry; see Reflection."""
-    return Isometry(lattice, Reflection(lattice, w).matrix)
+    """Reflection in a vector of square +2 or -2, as an isometry; see reflection_dual."""
+    dual = reflection_dual(lattice, w)
+    return Isometry(lattice, IntMatrix.of_map(lambda x: reflect(x, w, dual), lattice.rank))
 
 
 def short_vectors(lattice: Lattice, target_norm: int, coord_bound: int) -> list[Vector]:

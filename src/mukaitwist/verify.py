@@ -23,12 +23,11 @@ default; it is an execution option, so it is in no config and no report):
   dearer trials. The parent is worker 0 and forks the other w - 1 with
   os.fork, after it has evaluated index 0: that first case builds every
   cache the cases read (the kernel basis of T - 1, the compiled Gram forms,
-  and for phi the generator pool's harvested vectors), so no worker builds
-  it again, and if it fails no worker is forked. The pool's reflections are
-  built on first draw, so each worker builds the letters it draws, in its
-  own memory, and they go when it exits. A forked child holds only the
-  forking thread, so pass jobs > 1 only from a process that runs no other
-  threads (the CLI runs none).
+  and for phi the generator pool), so no worker builds it again, and if it
+  fails no worker is forked. The pool is one array that only the harvest
+  writes, so a worker reads it and builds nothing per letter. A forked
+  child holds only the forking thread, so pass jobs > 1 only from a
+  process that runs no other threads (the CLI runs none).
 * early stop -- with w > 1 the workers share one 8-byte word (an
   anonymous mmap), the lowest failing index found so far, count at first.
   Before each index a worker stops if the index is above it; a worker
@@ -49,10 +48,11 @@ first counterexample, with enough coordinates to re-evaluate the failed
 identity independently.
 
 The trial cases compute on plain tuples of ints and build no MukaiVector.
-Apart from the letters of the phi words, T and the cover involution act by
-their closed forms, twisted_involution_coords and cover_involution_coords,
-and every pairing of 24-tuples is _pairing, by full_lattice()'s Gram. Those
-three names are the seam through which the checks meet the maps and the Gram.
+T and the cover involution act by their closed forms,
+twisted_involution_coords and cover_involution_coords, every pairing of
+24-tuples is _pairing, by full_lattice()'s Gram, and each reflection's dual
+comes from reflection_dual. Those four names are the seam through which the
+checks meet the maps and the Gram.
 
 Checks:
 
@@ -64,16 +64,15 @@ Checks:
 * invariant lattice -- the fixed lattice of T has rank 12, its Gram form is
   twice an odd unimodular form, and (0,0,1) is characteristic for the half
   form.
-* phi integrality -- words in T-equivariant generators send (0,0,1) to a
-  vector with even degree-2 part, and <phi(0,0,1), l + Tl> = 0 mod 4. The
-  generator pool is T, -1 and reflection vectors w, harvested once per
-  process from the lex-sorted short vectors of the +-1 eigenlattices of T:
-  of each scan's hits, which come in pairs +-v, the upper half (the v with
-  a positive leading entry) is kept. Every kept w is checked at harvest:
-  T w = +-w on coordinates, and w^2 = +-2 by Reflection. The pool keeps the
-  9,104 checked w in one flat array and builds each reflection on its
-  first draw. A word is applied to (0,0,1) letter by letter, right to
-  left, each reflection as a rank-one update.
+* phi integrality -- words in T-equivariant generators send (0,0,1) to an
+  isotropic vector with even degree-2 part, and <phi(0,0,1), l + Tl> = 0
+  mod 4. The generator pool is T, -1 and reflection vectors w, harvested
+  once per process from the lex-sorted short vectors of the +-1
+  eigenlattices of T: of each scan's hits, which come in pairs +-v, the
+  upper half (the v with a positive leading entry) is kept, once checked
+  (T w = +-w, and w^2 = +-2 by reflection_dual), with its dual, in one
+  flat array. A word is a tuple of pool indices, applied to (0,0,1) right
+  to left by _apply_word, each reflection as a rank-one update.
 """
 from __future__ import annotations
 
@@ -90,7 +89,6 @@ from .intmat import IntMatrix, determinant, solve
 from .lattices import (
     Isometry,
     Lattice,
-    Reflection,
     X_SLICE,
     Y_SLICE,
     Z1_SLICE,
@@ -98,6 +96,8 @@ from .lattices import (
     Z3_SLICE,
     cover_involution_coords,
     fixed_sublattice,
+    reflect,
+    reflection_dual,
     short_vectors,
     standard_lattice,
 )
@@ -488,45 +488,31 @@ def verify_invariant_lattice() -> VerificationReport:
     return _run_cases("invariant-lattice", {}, lambda steps: _invariant_lattice_results(), 6)
 
 
-class _Pool(Sequence):
-    """T, -1 and the harvested reflections, each reflection built on first access.
+_LETTER_ENTRIES = 2 * FULL_RANK  # a reflection's w, then its dual
 
-    The reflection vectors are kept as one flat array of checked entries,
-    FULL_RANK to a vector. pool[i], for i >= 2, builds Reflection(lattice,
-    w_{i - 2}) the first time it is read and keeps it, so pool[i] is pool[i]
-    for the rest of the process. A forked worker builds the letters it
-    draws in its own memory. Two threads that race on one index can each
-    build it; the two letters are equal, so no value depends on which is
-    kept.
+
+class _Pool(Record):
+    """T, -1 and the harvested reflections, as one array that only the harvest writes.
+
+    Letter 0 is T, letter 1 is -1, and letter i >= 2 the reflection in
+    w_{i - 2}, whose w and dual 2 G w / w^2 fill the _LETTER_ENTRIES signed
+    bytes from (i - 2) * _LETTER_ENTRIES on. An array has no hash, so a
+    pool has none.
     """
 
-    __slots__ = ("_lattice", "_vectors", "_letters")
-
-    def __init__(self, lattice: Lattice, head: tuple[Isometry, ...], vectors):
-        self._lattice = lattice
-        self._vectors = vectors
-        self._letters: list[Isometry | Reflection | None] = [*head, *[None] * (len(vectors) // FULL_RANK)]
+    __slots__ = ("entries",)
+    _fields = ("entries",)
+    __hash__ = None
 
     def __len__(self) -> int:
-        return len(self._letters)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self._letters))[index]))
-        letter = self._letters[index]
-        if letter is None:
-            start = (index % len(self._letters) - 2) * FULL_RANK
-            letter = self._letters[index] = Reflection(self._lattice, self._vectors[start : start + FULL_RANK])
-        return letter
+        return 2 + len(self.entries) // _LETTER_ENTRIES
 
 
 @lru_cache(maxsize=None)
 def _generator_pool() -> _Pool:
     """T-equivariant generators: T, -1, and reflections in short T-(anti)fixed vectors.
 
-    T and -1 are isometries; every other entry is a Reflection, applied to a
-    vector as a rank-one update (its matrix is built only on demand). The
-    vectors w are harvested from the fixed lattice (the cached
+    The vectors w are harvested from the fixed lattice (the cached
     _invariant_basis) and the anti-fixed lattice of T: short_vectors lists,
     in lexicographic order, the vectors of square +-2 in the coordinate box
     1 of the kernel basis. Negation reverses that order and maps hits to
@@ -534,21 +520,19 @@ def _generator_pool() -> _Pool:
     half of each list is exactly the hits with a positive leading entry, in
     order, one of each pair +-v, which give the same reflection. Each w of
     the upper half is checked once, here: T w is compared with +-w by
-    twisted_involution_coords, and Reflection checks w^2 = +-2 in the full
-    lattice. The checked w are kept, in order, as signed bytes in one
-    array('b'), which raises OverflowError on an entry it cannot hold, and
-    each Reflection is built again on its first draw (see _Pool). A
-    reflection in such a w commutes with T, so every word in the pool does.
-    This pool generates a proper subgroup of the full equivariant orthogonal
-    group; it is a test family, not an enumeration.
+    twisted_involution_coords, and reflection_dual checks w^2 = +-2 in the
+    full lattice and returns the dual. Each w and its dual are kept, in
+    order, as signed bytes in one array('b'), which raises OverflowError on
+    an entry it cannot hold (see _Pool). A reflection in such a w commutes
+    with T, so every word in the pool does. This pool generates a proper
+    subgroup of the full equivariant orthogonal group; it is a test family,
+    not an enumeration.
     """
     from array import array  # loaded only by a run that harvests
 
     lat = full_lattice()
-    t_iso = twisted_involution_matrix()
-    minus_identity = Isometry(lat, -IntMatrix.identity(FULL_RANK))
-    vectors = array("b")
-    for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, t_iso, -1))):
+    entries = array("b")
+    for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, twisted_involution_matrix(), -1))):
         sub = Lattice(gram, f"T-fixed({sign:+d})")
         for target in (2, -2):
             hits = short_vectors(sub, target, 1)
@@ -556,22 +540,27 @@ def _generator_pool() -> _Pool:
                 w = basis.mul_vec(v)
                 if twisted_involution_coords(w) != (w if sign == 1 else tuple(map(neg, w))):
                     raise RuntimeError(f"harvested vector is not a {sign:+d}-eigenvector of T")
-                Reflection(lat, w)  # the square check
-                vectors.extend(w)
+                entries.fromlist([*w, *reflection_dual(lat, w)])
             del hits  # free this scan's list before the next scan builds its own
-    return _Pool(lat, (t_iso, minus_identity), vectors)
+    return _Pool(entries)
 
 
-def _sample_word(seed: int, word_length: int) -> list[Isometry | Reflection]:
-    """The letters of a deterministic word in the generator pool, leftmost first."""
-    pool = _generator_pool()
-    return [pool[i] for i in SplitMix64(mix64(seed)).integers(0, len(pool) - 1, word_length)]
+def _sample_word(seed: int, word_length: int) -> tuple[int, ...]:
+    """The pool indices of a deterministic word in the generator pool, leftmost first."""
+    return SplitMix64(mix64(seed)).integers(0, len(_generator_pool()) - 1, word_length)
 
 
-def _apply_word(word: list[Isometry | Reflection], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The product of the word's letters applied to v: the rightmost letter acts first."""
-    for letter in reversed(word):
-        v = letter(v)
+def _apply_word(word: Sequence[int], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The word's letters applied to v, the rightmost first; see _Pool for what each index is."""
+    entries = _generator_pool().entries
+    for i in reversed(word):
+        if i == 0:
+            v = twisted_involution_coords(v)
+        elif i == 1:
+            v = tuple(map(neg, v))
+        else:
+            start = (i - 2) * _LETTER_ENTRIES
+            v = reflect(v, entries[start : start + FULL_RANK], entries[start + FULL_RANK : start + _LETTER_ENTRIES])
     return v
 
 
@@ -613,6 +602,17 @@ def _phi_results(cfg: TrialConfig, trials, word_length: int):
         length = rng.below(word_length + 1)
         word_seed = rng.next_u64()
         image = _apply_word(_sample_word(word_seed, length), _POINT)
+        # An isometry keeps (0,0,1) isotropic; a letter that is none fails here.
+        square = _pairing(image, image)
+        if square:
+            yield {
+                "source": f"trial {trial}",
+                "word_seed": word_seed,
+                "word_length": length,
+                "image": list(image),
+                "square": square,
+            }
+            continue
         degree2 = image[1:23]
         if any(c % 2 for c in degree2):
             yield {

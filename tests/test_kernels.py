@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import box_norm_scan
 from mukaitwist import IntMatrix, _kernels, cover_involution_h2, full_lattice, standard_lattice
-from mukaitwist.lattices import Reflection
+from mukaitwist.lattices import reflection_dual
 
 # Small entries, and entries next to 2^62 and 10^30, where fixed-width
 # arithmetic would overflow.
@@ -288,7 +288,7 @@ def test_every_matvec_goes_through_the_module_binding(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
     lat, tau = standard_lattice("mukai_h2"), cover_involution_h2()
     w = (0,) * 20 + (1, 1)
-    for act in (lambda: Reflection(lat, w), lambda: lat.gram.mul_vec(w), lambda: tau(w)):
+    for act in (lambda: reflection_dual(lat, w), lambda: lat.gram.mul_vec(w), lambda: tau(w)):
         calls.clear()
         act()
         assert calls == [w]

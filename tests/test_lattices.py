@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from mukaitwist import (
     twisted_involution_matrix,
 )
 from mukaitwist.intmat import signature_and_det
-from mukaitwist.lattices import Reflection, cover_involution_h2, definiteness_from_signature
+from mukaitwist.lattices import cover_involution_h2, definiteness_from_signature, reflect, reflection_dual
 
 from conftest import descartes_signature, rational_det, rational_rank
 
@@ -255,19 +256,33 @@ class TestReflection:
     def test_wrong_length_rejected_naming_the_rank(self):
         for w in ((1, 1, 0), [1]):
             with pytest.raises(ValueError, match=r"^vector length \d != lattice rank 22$"):
-                Reflection(H2, w)
+                reflection_dual(H2, w)
+
+    @pytest.mark.parametrize("w, square", [((1, 0), 0), ((1, 2), 4), ((1, -2), -4)])
+    def test_wrong_square_rejected_naming_the_square(self, w, square):
+        with pytest.raises(ValueError, match=rf"^reflection vector must have square \+-2, got {square}$"):
+            reflection_dual(U, w)
+
+    def test_dual_is_two_g_w_over_w_squared(self):
+        assert reflection_dual(U, (1, 1)) == (1, 1)  # w^2 = 2: the dual is G w
+        assert reflection_dual(U, (1, -1)) == (1, -1)  # w^2 = -2: G w = (-1, 1), negated
 
 
 class TestVectorsStayTuples:
-    """A matrix, an isometry and a reflection return tuples, for list or tuple input."""
+    """A matrix, an isometry and a reflection return tuples, for list, tuple or array input."""
 
     W = (0,) * 20 + (1, 1)  # square 2, anti-fixed by the cover involution
 
-    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize("container", [list, tuple, lambda v: array("b", v)], ids=["list", "tuple", "array"])
     def test_results_are_tuples(self, container):
         tau = cover_involution_h2()
-        sigma = Reflection(H2, container(self.W))
-        assert type(sigma.w) is tuple and sigma.w == self.W
+        dual = reflection_dual(H2, container(self.W))
+        assert type(dual) is tuple
+        w, dual = container(self.W), container(dual)
+
+        def sigma(x):
+            return reflect(x, w, dual)
+
         rows = tau.matrix.to_rows()
         orthogonal = (1,) + (0,) * 21  # sigma fixes it: nothing to subtract
         for x in (tuple(range(22)), orthogonal, self.W):

@@ -5,9 +5,10 @@ breaks it in mukai and in verify together: T as
 mukai.twisted_involution_coords, from which twisted_involution_matrix() is
 built, and verify's binding of it; the Gram as mukai.full_lattice and
 verify's binding of it. The other rows patch one name of verify alone: the
-cover involution (verify.cover_involution_coords), l + Tl (verify._doubled)
-or the pairing of 24-tuples (verify._pairing). Each row states, for each of
-the four checks, how that check catches the mutant:
+cover involution (verify.cover_involution_coords), l + Tl (verify._doubled),
+the pairing of 24-tuples (verify._pairing) or the dual of each harvested
+reflection (verify.reflection_dual). Each row states, for each of the four
+checks, how that check catches the mutant:
 
 * EQUIVALENT -- the check passes; the mutant changes nothing its verdict
   depends on. The square check reads T and the full Gram only on degree-2
@@ -43,7 +44,7 @@ from mukaitwist import (
     verify_phi_integrality,
     verify_square_congruence,
 )
-from mukaitwist.lattices import COVER_SWAP, cover_involution_coords
+from mukaitwist.lattices import COVER_SWAP, cover_involution_coords, reflection_dual
 
 CFG = TrialConfig(trials=20, seed=0)
 
@@ -153,9 +154,21 @@ MUTANTS = {
         _outcomes(EQUIVALENT, EQUIVALENT, EQUIVALENT, EQUIVALENT),
     ),
     # On (0, l, 0) + T(0, l, 0) the dropped terms -r s' - r' s vanish, as r = 0.
+    # phi's isotropy check reads the square of phi(0,0,1), whose r and s are not 0.
     "pairing of the degree-2 blocks alone": (
         lambda mp: mp.setattr(verify, "_pairing", _pairing_on_h2),
-        _outcomes(EQUIVALENT, COUNTEREXAMPLE, EQUIVALENT, EQUIVALENT),
+        _outcomes(EQUIVALENT, COUNTEREXAMPLE, EQUIVALENT, COUNTEREXAMPLE),
+    ),
+    # Only phi's words apply reflections. A letter with a wrong dual is no
+    # isometry, so some phi(0,0,1) is not isotropic.
+    # G w is the dual only where w^2 = 2.
+    "reflection dual without its sign": (
+        lambda mp: mp.setattr(verify, "reflection_dual", lambda lat, w: lat.gram.mul_vec(w)),
+        _outcomes(EQUIVALENT, EQUIVALENT, EQUIVALENT, COUNTEREXAMPLE),
+    ),
+    "reflection dual doubled": (
+        lambda mp: mp.setattr(verify, "reflection_dual", lambda lat, w: tuple(2 * c for c in reflection_dual(lat, w))),
+        _outcomes(EQUIVALENT, EQUIVALENT, EQUIVALENT, COUNTEREXAMPLE),
     ),
 }
 

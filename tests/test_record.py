@@ -1,6 +1,7 @@
 """The immutable records share one base: assignment, pickling, repr, hash."""
 import copy
 import pickle
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from mukaitwist import (
     standard_lattice,
     verify_square_congruence,
 )
-from mukaitwist.lattices import Reflection
+from mukaitwist.verify import _Pool
 
 RECORDS = [
     TrialConfig(trials=5, seed=3, coord_bound=9),
@@ -34,7 +35,7 @@ RECORDS = [
     IntMatrix(2, 3, [1, -2, 0, 4, 5, -6]),
     standard_lattice("u"),
     cover_involution_h2(),
-    Reflection(standard_lattice("e8"), (1, 0, 0, 0, 0, 0, 0, 0)),  # a root of E8
+    _Pool(array("b", range(-24, 24))),  # T, -1 and the 48 stored entries of one reflection
     MukaiVector(Fraction(1, 2), (0,) * 21 + (3,), -1),
     canonical_b_field(),
 ]
@@ -79,7 +80,7 @@ def test_equality_needs_the_same_class(record):
 
 
 def test_hash_is_only_for_hashable_records(record):
-    if isinstance(record, VerificationReport):
+    if type(record).__hash__ is None:
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -99,9 +100,9 @@ def test_one_private_base():
         IntMatrix,
         Lattice,
         Isometry,
-        Reflection,
         MukaiVector,
         BField,
+        _Pool,
     )
     assert all(issubclass(cls, Record) for cls in records)
     assert {type(record) for record in RECORDS} == set(records)

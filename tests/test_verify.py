@@ -1,5 +1,4 @@
 import copy
-import gc
 import hashlib
 import json
 import os
@@ -7,9 +6,8 @@ import pickle
 import random
 import subprocess
 import sys
-import threading
 import tracemalloc
-from collections.abc import Sequence
+from array import array
 from itertools import combinations, product
 from operator import itemgetter
 from pathlib import Path
@@ -20,7 +18,6 @@ import mukaitwist.verify as verify
 from conftest import reflection_matrix
 from mukaitwist import (
     IntMatrix,
-    Isometry,
     Lattice,
     MukaiVector,
     TrialConfig,
@@ -40,7 +37,7 @@ from mukaitwist import (
     verify_phi_integrality,
     verify_square_congruence,
 )
-from mukaitwist.lattices import COVER_SWAP, Reflection, cover_involution_coords
+from mukaitwist.lattices import COVER_SWAP, cover_involution_coords, reflection_dual
 from mukaitwist.prng import SplitMix64, mix64, substream
 
 CFG = TrialConfig(trials=300, seed=20240611, coord_bound=50)
@@ -57,6 +54,24 @@ def _shift_twist(monkeypatch, moved):
         return (t[0] + int(moved(x)), *t[1:])
 
     monkeypatch.setattr(verify, "twisted_involution_coords", shifted)
+
+
+def _letter(index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The w and the dual that the pool stores for its letter index >= 2."""
+    entries = verify._generator_pool().entries
+    start = (index - 2) * verify._LETTER_ENTRIES
+    return tuple(entries[start : start + 24]), tuple(entries[start + 24 : start + 48])
+
+
+def _word_matrix(word) -> IntMatrix:
+    """The matrix of a word of pool indices, as _apply_word evaluates it."""
+    return IntMatrix.of_map(lambda e: verify._apply_word(word, e), 24)
+
+
+def _pool_of(*ws) -> verify._Pool:
+    """A pool of T, -1 and the reflections in ws, stored as the harvest stores them."""
+    lat = full_lattice()
+    return verify._Pool(array("b", [e for w in ws for e in (*w, *reflection_dual(lat, w))]))
 
 
 def _shift_pairing(monkeypatch, shift):
@@ -159,17 +174,17 @@ class TestEquivariantSampler:
         assert a.matrix == b.matrix
 
     def test_pool_contains_twist_and_minus_identity(self):
-        pool = verify._generator_pool()
-        assert pool[0].matrix == twisted_involution_matrix().matrix
-        assert pool[1].matrix == -IntMatrix.identity(24)
-        assert len(pool) > 2
+        assert _word_matrix((0,)) == twisted_involution_matrix().matrix
+        assert _word_matrix((1,)) == -IntMatrix.identity(24)
+        assert len(verify._generator_pool()) > 2
 
     def test_pool_reflections_commute_with_twist(self):
         pool = verify._generator_pool()
         t = twisted_involution_matrix().matrix
         rng = random.Random(1)
-        for gen in rng.sample(pool, 25):
-            assert gen.matrix @ t == t @ gen.matrix
+        for index in rng.sample(range(len(pool)), 25):
+            m = _word_matrix((index,))
+            assert m @ t == t @ m
 
     def test_negative_word_length_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +215,7 @@ class TestWordEvaluation:
             return twisted_involution_matrix().matrix
         if index == 1:
             return -IntMatrix.identity(24)
-        return reflection(full_lattice(), verify._generator_pool()[index].w).matrix
+        return reflection(full_lattice(), _letter(index)[0]).matrix
 
     # The pool's order decides which word every seed samples, and a passing
     # phi report carries only trials_run, so pin the harvest exactly: the
@@ -210,7 +225,7 @@ class TestWordEvaluation:
     SCAN_HITS = {(1, 2): 3138, (1, -2): 11566, (-1, 2): 366, (-1, -2): 3138}
 
     def test_pool_order_is_pinned(self):
-        ws = repr([g.w for g in verify._generator_pool()[2:]])
+        ws = repr([_letter(i)[0] for i in range(2, len(verify._generator_pool()))])
         assert hashlib.sha256(ws.encode()).hexdigest() == self.POOL_DIGEST
 
     def test_harvest_scan_hit_counts_are_pinned(self):
@@ -230,20 +245,20 @@ class TestWordEvaluation:
         for i in indices:
             product = product @ self.letter_matrix(i)
         word = verify._sample_word(seed, length)
-        assert all(letter is pool[i] for letter, i in zip(word, indices))
+        assert word == tuple(indices)
         point = point_class().coords()
         assert verify._apply_word(word, point) == product.mul_vec(point)
         assert sample_equivariant_isometry(seed, length).matrix == product
 
     @pytest.mark.parametrize("container", [list, tuple])
     def test_words_return_tuples(self, container):
-        pool = verify._generator_pool()
+        last = len(verify._generator_pool()) - 1
         point = point_class().coords()
         # T, -1 and reflections, each as the first letter to act on the input.
-        for word in ([pool[2], pool[0]], [pool[0], pool[1]], [pool[1], pool[2]], [pool[-1]]):
+        for word in ([2, 0], [0, 1], [1, 2], [last]):
             product = IntMatrix.identity(24)
-            for letter in word:
-                product = product @ letter.matrix
+            for index in word:
+                product = product @ self.letter_matrix(index)
             got = verify._apply_word(word, container(point))
             assert type(got) is tuple and got == product.mul_vec(point)
 
@@ -252,21 +267,20 @@ class TestWordEvaluation:
 
     def test_harvested_vectors_are_equivariant_roots(self):
         lat = full_lattice()
-        for gen in verify._generator_pool()[2:]:
-            w = gen.w
+        for index in range(2, len(verify._generator_pool())):
+            w, _ = _letter(index)
             assert lat.norm(w) in (2, -2)
             tw = twisted_involution(MukaiVector.from_coords(w)).coords()
             assert tw in (w, tuple(-c for c in w))
 
     def test_reflection_matrices_match_formula(self):
         lat = full_lattice()
-        pool = verify._generator_pool()
-        for gen in random.Random(4).sample(pool[2:], 25):
-            assert gen.matrix == reflection_matrix(lat.gram, gen.w)
+        for index in random.Random(4).sample(range(2, len(verify._generator_pool())), 25):
+            assert _word_matrix((index,)) == reflection_matrix(lat.gram, _letter(index)[0])
 
 
 class TestHarvestChecks:
-    """The harvest checks every vector it keeps: T w = +-w, then w^2 = +-2 in Reflection."""
+    """The harvest checks every vector it keeps: T w = +-w, then w^2 = +-2 in reflection_dual."""
 
     @pytest.fixture(autouse=True)
     def real_pool_afterwards(self):
@@ -308,33 +322,21 @@ class TestHarvestChecks:
             return [tuple(-c for c in bad), *real_scan(lattice, target, bound), bad]
 
         built = []
-        real_reflection = verify.Reflection
+        real_dual = verify.reflection_dual
         monkeypatch.setattr(verify, "short_vectors", padded_scan)
-        monkeypatch.setattr(verify, "Reflection", lambda lat, w: built.append(w) or real_reflection(lat, w))
+        monkeypatch.setattr(verify, "reflection_dual", lambda lat, w: built.append(w) or real_dual(lat, w))
         with pytest.raises(ValueError, match="reflection vector must have square"):
             verify._generator_pool.__wrapped__()
         assert len(built) == TestWordEvaluation.SCAN_HITS[1, 2] // 2 + 1
 
 
-def _reflections_alive() -> int:
-    return sum(type(o) is Reflection for o in gc.get_objects())
-
-
 class TestLeanPool:
-    """The pool keeps its checked vectors in one byte array and builds each reflection on first draw."""
+    """The pool holds one byte array of checked vectors and their duals, and no letter object."""
 
     @pytest.fixture(autouse=True)
     def real_pool_afterwards(self):
         yield
         verify._generator_pool.cache_clear()
-
-    @pytest.fixture
-    def built(self, monkeypatch) -> list:
-        """The vector of every Reflection that verify builds from now on."""
-        out = []
-        real = verify.Reflection
-        monkeypatch.setattr(verify, "Reflection", lambda lat, w: out.append(tuple(w)) or real(lat, w))
-        return out
 
     def test_fresh_pool_retains_under_two_mib(self):
         verify._generator_pool()  # the caches the harvest reads: kernel bases, T, compiled Gram forms
@@ -347,53 +349,29 @@ class TestLeanPool:
         assert len(pool) == 9106
         assert retained < 2 * 2**20
 
-    def test_every_vector_is_checked_and_no_reflection_kept_until_drawn(self, built):
-        before = _reflections_alive()
-        pool = verify._generator_pool.__wrapped__()
-        assert len(built) == len(pool) - 2
-        assert _reflections_alive() == before
-        drawn = [pool[i] for i in (7, 7, -1, 9000)]
-        assert len(built) == len(pool) - 2 + 3
-        assert _reflections_alive() == before + 3
-        assert built[-3:] == [drawn[0].w, drawn[2].w, drawn[3].w]
-
-    def test_a_letter_is_built_once(self, built):
-        pool = verify._generator_pool.__wrapped__()
-        built.clear()
-        assert pool[5] is pool[5] is pool[5 - len(pool)]
-        assert len(built) == 1
-
-    def test_sequence_protocol(self):
-        pool = verify._generator_pool.__wrapped__()
-        n = len(pool)
-        assert isinstance(pool, Sequence)
-        assert pool[0] is twisted_involution_matrix() and pool[1].matrix == -IntMatrix.identity(24)
-        assert pool[-1] is pool[n - 1] and pool[-n] is pool[0]
-        assert type(pool[2:5]) is tuple and all(a is b for a, b in zip(pool[2:5], (pool[2], pool[3], pool[4])))
-        assert len(pool[2:5]) == 3 and pool[n - 2 :: 7] == (pool[n - 2],)
-        sample = random.Random(3).sample(pool, 3)
-        assert len(sample) == 3 and all(letter in pool[:2] or type(letter) is Reflection for letter in sample)
-        for index in (n, -n - 1):
-            with pytest.raises(IndexError):
-                pool[index]
-
-    def test_threads_that_race_on_one_index_read_equal_letters(self):
-        pool, reference = verify._generator_pool.__wrapped__(), verify._generator_pool()
-        indices = range(2, 302)
-        reads = [[] for _ in range(4)]
-        threads = [threading.Thread(target=lambda out: out.extend(pool[i].w for i in indices), args=(out,)) for out in reads]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_applying_every_letter_retains_nothing(self):
+        n = len(verify._generator_pool())
+        point = point_class().coords()
+        verify._apply_word(tuple(range(n)), point)  # warm every code path once
+        tracemalloc.start()
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            for index in range(n):
+                verify._apply_word((index,), point)
+            retained, _ = tracemalloc.get_traced_memory()
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert reads == [[reference[i].w for i in indices]] * 4
-        assert all(pool[i] is pool[i] for i in indices)
+            tracemalloc.stop()
+        assert retained < 16 * 2**10
+
+    def test_every_stored_dual_is_two_g_w_over_w_squared(self):
+        gram = full_lattice().gram
+        # The nonzero Gram entries of each row; the dual is computed entry by entry from them.
+        rows = [[(j, gram[i, j]) for j in range(24) if gram[i, j]] for i in range(24)]
+        for index in range(2, len(verify._generator_pool())):
+            w, dual = _letter(index)
+            gw = [sum(g * w[j] for j, g in row) for row in rows]
+            n2 = sum(a * b for a, b in zip(w, gw))
+            assert n2 in (2, -2)
+            assert dual == tuple(2 * g // n2 for g in gw)
 
     def test_store_refuses_an_entry_it_cannot_hold(self, monkeypatch):
         # 200 e_0 in basis coordinates is 200 times a T-fixed column, so it
@@ -406,28 +384,16 @@ class TestLeanPool:
             return [tuple(-c for c in big), *real_scan(lattice, target, bound), big]
 
         monkeypatch.setattr(verify, "short_vectors", padded_scan)
-        monkeypatch.setattr(verify, "Reflection", lambda lat, w: None)
+        monkeypatch.setattr(verify, "reflection_dual", lambda lat, w: (0,) * len(w))
         with pytest.raises(OverflowError):
             verify._generator_pool.__wrapped__()
 
-    def test_workers_agree_and_the_parent_keeps_only_its_own_letters(self, built):
+    def test_workers_agree(self):
         cfg = TrialConfig(trials=300, seed=11)
         serial = verify_phi_integrality(cfg, jobs=1).summary()
         verify._generator_pool.cache_clear()
-        pool = verify._generator_pool()
-        built.clear()
         assert verify_phi_integrality(cfg, jobs=2).summary() == serial
         _no_child_left()
-        parent_built = list(built)
-        # At jobs=2 the parent evaluates the even trials, and a word is drawn as _phi_results draws it.
-        drawn = set()
-        for trial in range(0, cfg.trials, 2):
-            rng = substream(cfg.seed, trial)
-            length = rng.below(verify.DEFAULT_WORD_LENGTH + 1)
-            drawn.update(i for i in SplitMix64(mix64(rng.next_u64())).integers(0, len(pool) - 1, length) if i >= 2)
-        assert len(parent_built) == len(drawn)
-        assert set(parent_built) == {pool[i].w for i in drawn}
-        assert len(built) == len(parent_built)  # reading the drawn letters built nothing more
 
 
 class TestPhiFailureReporting:
@@ -437,7 +403,7 @@ class TestPhiFailureReporting:
     BREAKING = (1,) + (0,) * 20 + (1, 0) + (1,)
 
     def test_odd_image_is_a_replayable_counterexample(self, monkeypatch):
-        pool = (twisted_involution_matrix(), Reflection(full_lattice(), self.BREAKING))
+        pool = _pool_of(self.BREAKING)
         monkeypatch.setattr(verify, "_generator_pool", lambda: pool)
         report = verify_phi_integrality(TrialConfig(trials=50, seed=3), word_length=4)
         assert not report.passed
@@ -448,6 +414,21 @@ class TestPhiFailureReporting:
         assert list(replayed) == ce["image"]
         assert ce["odd_degree2_indices"] == [i for i, c in enumerate(replayed[1:23]) if c % 2]
         assert ce["odd_degree2_indices"]
+
+    def test_letter_that_is_no_isometry_is_a_replayable_counterexample(self, monkeypatch):
+        # Twice the dual: x - 2 <x, w> w is no isometry, so some image of (0,0,1) is not isotropic.
+        real = verify.reflection_dual
+        monkeypatch.setattr(verify, "reflection_dual", lambda lat, w: tuple(2 * c for c in real(lat, w)))
+        verify._generator_pool.cache_clear()
+        try:
+            report = verify_phi_integrality(TrialConfig(trials=20, seed=0), word_length=4)
+            ce = report.counterexample
+            assert list(ce) == ["source", "word_seed", "word_length", "image", "square"]
+            assert ce["source"] == f"trial {report.trials_run - 1}"
+            replayed = verify._apply_word(verify._sample_word(ce["word_seed"], ce["word_length"]), point_class().coords())
+        finally:
+            verify._generator_pool.cache_clear()
+        assert list(replayed) == ce["image"] and ce["square"] == verify._pairing(replayed, replayed) != 0
 
 
 class TestTrialDraws:
@@ -476,8 +457,8 @@ class TestTrialDraws:
 
     def test_phi_pairing_draws(self, monkeypatch):
         calls = []
-        # The last pairing of trial 0 is off by one.
-        _shift_pairing(monkeypatch, lambda: len(calls.append(0) or calls) == 10)
+        # The last pairing of trial 0 is off by one; its first is the isotropy check.
+        _shift_pairing(monkeypatch, lambda: len(calls.append(0) or calls) == 11)
         (ce,) = verify._phi_results(self.CFG, [0], 4)
         rng = substream(self.CFG.seed, 0)
         length, word_seed = rng.below(5), rng.next_u64()
@@ -489,7 +470,7 @@ class TestTrialDraws:
         pool = verify._generator_pool()
         for seed in range(5):
             rng = SplitMix64(mix64(seed))
-            assert verify._sample_word(seed, 9) == [pool[rng.below(len(pool))] for _ in range(9)]
+            assert verify._sample_word(seed, 9) == tuple(rng.below(len(pool)) for _ in range(9))
 
 
 class TestCongruenceTransport:
@@ -655,8 +636,10 @@ class TestCounterexamplePins:
     def test_strengthened_pairing_counterexample_is_pinned(self, monkeypatch):
         # Swapping r and s is an isometry with an even image of (0,0,1), namely
         # (1, 0, 0); its pairing with l + Tl is a + b, for (a, b) the z3 block of l.
-        swap = Isometry(full_lattice(), IntMatrix.of_map(lambda v: (v[23], *v[1:23], v[0]), 24))
-        monkeypatch.setattr(verify, "_generator_pool", lambda: (swap,))
+        # The swap is the reflection in (1, 0, ..., 0, -1), of square 2: letter 2.
+        pool = _pool_of((1,) + (0,) * 22 + (-1,))
+        monkeypatch.setattr(verify, "_generator_pool", lambda: pool)
+        monkeypatch.setattr(verify, "_sample_word", lambda seed, n: (2,) * n)
         report = verify_phi_integrality(self.CFG, word_length=4)
         assert json.dumps(report.check_json()) == (
             '{"name": "phi-integrality", "passed": false, "trials_run": 1, "counterexample": '
@@ -846,7 +829,7 @@ def _break_characteristic(monkeypatch):
 
 def _break_phi(monkeypatch):
     """T and a reflection that does not commute with T, so some images are odd."""
-    pool = (twisted_involution_matrix(), Reflection(full_lattice(), TestPhiFailureReporting.BREAKING))
+    pool = _pool_of(TestPhiFailureReporting.BREAKING)
     monkeypatch.setattr(verify, "_generator_pool", lambda: pool)
 
 
