@@ -96,15 +96,6 @@ class IntMatrix(Record):
     def identity(cls, n: int) -> "IntMatrix":
         return cls._raw(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._raw(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
-
     @property
     def flat(self) -> tuple[int, ...]:
         return self._d
@@ -136,11 +127,6 @@ class IntMatrix(Record):
         if not 0 <= i < self.rows:
             raise IndexError("matrix index out of range")
         return self._d[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexError("matrix index out of range")
-        return self._d[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]

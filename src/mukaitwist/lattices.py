@@ -32,20 +32,17 @@ Vector = tuple[int, ...]
 
 
 class Lattice(Record):
-    """A free Z-module with a symmetric integer Gram form; the label does not enter equality."""
+    """A free Z-module with a symmetric integer Gram form; the Gram is the whole value."""
 
-    __slots__ = ("gram", "rank", "label", "_det")
-    _fields = ("gram", "label")
+    __slots__ = ("gram", "rank", "_det")
+    _fields = ("gram",)
 
-    def __init__(self, gram: IntMatrix, label: str = ""):
+    def __init__(self, gram: IntMatrix):
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        super().__init__(gram, label)
+        super().__init__(gram)
         set_field(self, "rank", gram.rows)
         set_field(self, "_det", None)
-
-    def _key(self) -> tuple:
-        return (self.gram,)
 
     def _check_length(self, v: Sequence) -> None:
         if len(v) != self.rank:
@@ -120,8 +117,8 @@ def _e8_gram() -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def direct_sum(first: Lattice, second: Lattice, label: str = "") -> Lattice:
-    """Orthogonal direct sum: block-diagonal Gram, additive rank."""
+def direct_sum(first: Lattice, second: Lattice) -> Lattice:
+    """Orthogonal direct sum: block-diagonal Gram, additive rank, first's coordinates first."""
     n1, n2 = first.rank, second.rank
     n = n1 + n2
     rows = [[0] * n for _ in range(n)]
@@ -131,9 +128,7 @@ def direct_sum(first: Lattice, second: Lattice, label: str = "") -> Lattice:
     for i in range(n2):
         for j in range(n2):
             rows[n1 + i][n1 + j] = second.gram[i, j]
-    if not label:
-        label = f"{first.label or '?'} + {second.label or '?'}"
-    return Lattice(IntMatrix.from_rows(rows), label)
+    return Lattice(IntMatrix.from_rows(rows))
 
 
 @lru_cache(maxsize=None)
@@ -148,20 +143,20 @@ def standard_lattice(name: str) -> Lattice:
 @lru_cache(maxsize=None)
 def _standard_lattice(key: str) -> Lattice:
     if key == "u":
-        return Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]), "U")
+        return Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]))
     if key == "e8":
-        return Lattice(_e8_gram(), "E8")
+        return Lattice(_e8_gram())
     if key == "minus_e8":
-        return Lattice(-_e8_gram(), "-E8")
+        return Lattice(-_e8_gram())
     if key == "enriques_h2":
         # Free part of the degree-2 cohomology of an Enriques surface.
-        return direct_sum(standard_lattice("minus_e8"), standard_lattice("u"), "enriques_h2")
+        return direct_sum(standard_lattice("minus_e8"), standard_lattice("u"))
     if key == "mukai_h2":
         lat = standard_lattice("minus_e8")
         lat = direct_sum(lat, standard_lattice("minus_e8"))
         for _ in range(3):
             lat = direct_sum(lat, standard_lattice("u"))
-        return Lattice(lat.gram, "mukai_h2")
+        return lat
     raise ValueError(
         f"unknown lattice {key!r}; expected one of u, e8, minus_e8, enriques_h2, mukai_h2"
     )
@@ -192,17 +187,15 @@ def cover_involution_h2() -> Isometry:
     return Isometry(standard_lattice("mukai_h2"), IntMatrix.of_map(cover_involution_coords, 22))
 
 
-def fixed_sublattice(
-    lattice: Lattice, isometry: Isometry | IntMatrix, sign: int
-) -> tuple[IntMatrix, IntMatrix]:
-    """Z-basis of {v : M v = sign * v} and the Gram form restricted to it.
+def fixed_sublattice(lattice: Lattice, isometry: Isometry, sign: int) -> tuple[IntMatrix, IntMatrix]:
+    """Z-basis of {v : M v = sign * v} and the Gram form restricted to it, for M = isometry.matrix.
 
     The basis is returned as the columns of the first matrix; it is computed
     as an integer kernel, hence saturated. M need not be an involution.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    matrix = isometry.matrix if isinstance(isometry, Isometry) else isometry
+    matrix = isometry.matrix
     if matrix.shape != (lattice.rank, lattice.rank):
         raise ValueError("matrix shape does not match lattice rank")
     identity = IntMatrix.identity(lattice.rank)

@@ -147,12 +147,10 @@ def cover_involution(v: MukaiVector) -> MukaiVector:
     return MukaiVector(v.r, cover_involution_coords(v.c), v.s)
 
 
-def exp_b(b: BField | Sequence[Scalar], v: MukaiVector) -> MukaiVector:
-    """The unipotent shear e^b: (r, c, s) -> (r, c + r b, s + c.b + r b^2 / 2)."""
+def exp_b(b: BField, v: MukaiVector) -> MukaiVector:
+    """The unipotent shear e^b: (r, c, s) -> (r, c + r b, s + c.b + r b^2 / 2), for a BField b."""
     from fractions import Fraction
 
-    if not isinstance(b, BField):
-        b = BField(b)
     x = v.coords()
     r, c = x[0], x[1:23]
     cb = standard_lattice("mukai_h2").inner(c, b.coords)
@@ -187,7 +185,7 @@ def full_lattice() -> Lattice:
     h2 = standard_lattice("mukai_h2").gram
     rows = [[0] * FULL_RANK, *([0, *h2.row(i), 0] for i in range(H2_RANK)), [0] * FULL_RANK]
     rows[0][23] = rows[23][0] = -1
-    return Lattice(IntMatrix.from_rows(rows), "mukai_full")
+    return Lattice(IntMatrix.from_rows(rows))
 
 
 @lru_cache(maxsize=None)

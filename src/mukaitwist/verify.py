@@ -166,10 +166,6 @@ class VerificationReport(Record):
 
     __hash__ = None
 
-    def summary(self) -> dict:
-        """Everything except timing; equal summaries mean identical runs."""
-        return self.check_json() | {"config": dict(self.config)}
-
     def check_json(self) -> dict:
         """The check's entry in a JSON report."""
         out = {
@@ -533,7 +529,7 @@ def _generator_pool() -> _Pool:
     lat = full_lattice()
     entries = array("b")
     for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, twisted_involution_matrix(), -1))):
-        sub = Lattice(gram, f"T-fixed({sign:+d})")
+        sub = Lattice(gram)
         for target in (2, -2):
             hits = short_vectors(sub, target, 1)
             for v in islice(hits, len(hits) // 2, None):  # leading entry > 0
@@ -571,7 +567,7 @@ def check_word_length(word_length: int) -> None:
     """
     _require_int("word_length", word_length)
     if not 0 <= word_length < 2**64:
-        raise ValueError("word length must be in [0, 2**64)")
+        raise ValueError("word_length must be in [0, 2**64)")
 
 
 def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:

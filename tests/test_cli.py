@@ -289,7 +289,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("trials", ["0", "1"])
     @pytest.mark.parametrize(
         "suite, flag, value, field",
-        [("claims", "--coord-bound", 2**63, "coord_bound"), ("phi-integrality", "--word-length", 2**64, "word length")],
+        [("claims", "--coord-bound", 2**63, "coord_bound"), ("phi-integrality", "--word-length", 2**64, "word_length")],
     )
     def test_value_past_prng_range_is_usage_error(self, capsys, trials, suite, flag, value, field):
         code, out, err = run(capsys, "verify", suite, "--trials", trials, flag, str(value))
@@ -310,7 +310,7 @@ class TestVerifyCommand:
     def test_negative_word_length_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "phi-integrality", "--word-length", "-1", "--trials", "1")
         assert code == 2
-        assert "word length" in err
+        assert "word_length" in err
         assert out == ""
 
     def test_invariant_lattice_failure_exits_one(self, capsys, monkeypatch):
@@ -365,7 +365,7 @@ class TestInternalFaults:
         monkeypatch.setattr("mukaitwist.cli.verify_phi_integrality", lambda *a, **k: pytest.fail("ran the suite"))
         code, out, err = run(capsys, "verify", "phi-integrality", "--trials", "3", "--word-length", str(word_length))
         assert code == 2
-        assert "word length" in err
+        assert "word_length" in err
         assert out == ""
 
 

@@ -179,9 +179,9 @@ def test_dispatcher_falls_back_on_fractions():
 def test_empty_dimensions():
     assert _kernels.matmul((), (), 0, 0, 0) == []
     assert _kernels.matmul((), (), 2, 0, 0) in ([],)
-    empty = IntMatrix.zero(0, 0).sparse_rows
+    empty = IntMatrix(0, 0, ()).sparse_rows
     assert _kernels.matvec(empty, ()) == ()
-    assert _kernels.matvec(IntMatrix.zero(2, 0).sparse_rows, ()) == (0, 0)
+    assert _kernels.matvec(IntMatrix(2, 0, ()).sparse_rows, ()) == (0, 0)
     assert _kernels.bilinear(empty, (), ()) == 0
 
 

@@ -203,13 +203,14 @@ class TestFixedSublattice:
     def test_restricted_gram_matches_inner(self):
         tau = cover_involution_h2()
         basis, gram = fixed_sublattice(H2, tau, -1)
+        columns = basis.transpose()
         for i in range(basis.cols):
             for j in range(basis.cols):
-                assert gram[i, j] == H2.inner(basis.column(i), basis.column(j))
+                assert gram[i, j] == H2.inner(columns.row(i), columns.row(j))
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
-            fixed_sublattice(U, IntMatrix.identity(2), 2)
+            fixed_sublattice(U, Isometry(U, IntMatrix.identity(2)), 2)
 
 
 def _mirror_candidates():
@@ -402,7 +403,7 @@ class TestSignatureAndDet:
         assert signature_and_det(g) == (signature(g), determinant(g))
 
     def test_empty_and_degenerate(self):
-        assert signature_and_det(IntMatrix.zero(0, 0)) == ((0, 0, 0), 1)
+        assert signature_and_det(IntMatrix(0, 0, ())) == ((0, 0, 0), 1)
         assert signature_and_det(IntMatrix.from_rows([[0, 0], [0, 1]])) == ((1, 1, 0), 0)
         assert signature_and_det(IntMatrix.from_rows([[0, 1], [1, 0]])) == ((1, 0, 1), -1)
 

@@ -228,7 +228,7 @@ class TestTwistedInvolutionMatrix:
             e = MukaiVector.from_coords(tuple(1 if j == i else 0 for j in range(24)))
             column = exp_b(two_b, cover_involution(e)).coords()
             assert all(isinstance(x, int) for x in column)
-            assert t.column(i) == column
+            assert t.transpose().row(i) == column
 
     def test_squares_to_identity(self):
         t = twisted_involution_matrix().matrix

@@ -88,7 +88,7 @@ def _patch_gram(monkeypatch, entries):
     rows = mukai.full_lattice().gram.to_rows()
     for (i, j), value in entries.items():
         rows[i][j] = rows[j][i] = value
-    wrong = Lattice(IntMatrix.from_rows(rows), "mutant")
+    wrong = Lattice(IntMatrix.from_rows(rows))
     monkeypatch.setattr(mukai, "full_lattice", lambda: wrong)
     monkeypatch.setattr(verify, "full_lattice", lambda: wrong)
 

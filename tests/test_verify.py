@@ -187,7 +187,7 @@ class TestEquivariantSampler:
             assert m @ t == t @ m
 
     def test_negative_word_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^word_length must be in \[0, 2\*\*64\)$"):
             sample_equivariant_isometry(0, -1)
 
     @pytest.mark.parametrize("seed", [2**64, -1, -(2**64)])
@@ -232,7 +232,7 @@ class TestWordEvaluation:
         lat = full_lattice()
         for sign in (1, -1):
             _, gram = fixed_sublattice(lat, twisted_involution_matrix(), sign)
-            sub = Lattice(gram, f"T-fixed({sign:+d})")
+            sub = Lattice(gram)
             for target in (2, -2):
                 assert len(short_vectors(sub, target, 1)) == self.SCAN_HITS[sign, target]
 
@@ -390,9 +390,9 @@ class TestLeanPool:
 
     def test_workers_agree(self):
         cfg = TrialConfig(trials=300, seed=11)
-        serial = verify_phi_integrality(cfg, jobs=1).summary()
+        serial = verify_phi_integrality(cfg, jobs=1)
         verify._generator_pool.cache_clear()
-        assert verify_phi_integrality(cfg, jobs=2).summary() == serial
+        assert verify_phi_integrality(cfg, jobs=2) == serial
         _no_child_left()
 
 
@@ -514,8 +514,8 @@ class TestPhiIntegrality:
 class TestDeterminism:
     def test_reports_reproduce(self):
         cfg = TrialConfig(trials=200, seed=42)
-        first = [r.summary() for r in verify.run_claims_suite(cfg)]
-        second = [r.summary() for r in verify.run_claims_suite(cfg)]
+        first = verify.run_claims_suite(cfg)
+        second = verify.run_claims_suite(cfg)
         assert first == second
 
     def test_report_equality_ignores_elapsed(self):
@@ -596,7 +596,6 @@ class TestFailureReporting:
     def test_summary_carries_counterexample(self, monkeypatch):
         monkeypatch.setattr(verify, "cover_involution_coords", lambda ell: ell)
         report = verify_square_congruence(TrialConfig(trials=50, seed=0))
-        assert "counterexample" in report.summary()
         assert "counterexample" in report.check_json()
 
 
@@ -668,7 +667,7 @@ class TestTupleRoute:
         # H4 made positive: (0,0,1)^2 = 1, so (l + Tl)^2 gains (a + b)^2 for l's z3 block (a, b).
         rows = full_lattice().gram.to_rows()
         rows[23][23] = 1
-        wrong = Lattice(IntMatrix.from_rows(rows), "wrong")
+        wrong = Lattice(IntMatrix.from_rows(rows))
         monkeypatch.setattr(verify, "full_lattice", lambda: wrong)
         report = verify_square_congruence(TrialConfig(trials=50, seed=0))
         assert not report.passed
@@ -898,7 +897,8 @@ class TestOrderIndependence:
                 config=serial.config,
                 elapsed_s=0.0,
             )
-            assert json.dumps(merged.summary()) == json.dumps(serial.summary())
+            assert merged == serial
+            assert json.dumps(merged.check_json()) == json.dumps(serial.check_json())
 
 
 def _fail_trial(monkeypatch, k: int, error: type[BaseException] | None = None) -> None:
@@ -934,28 +934,28 @@ class TestParallelRuns:
     failing index give the serial report, and no worker outlives the call."""
 
     @staticmethod
-    def summaries(check: str, cfg: TrialConfig = ORDER_CFG) -> list[dict]:
+    def reports(check: str, cfg: TrialConfig = ORDER_CFG) -> list[VerificationReport]:
         run = PARALLEL_CHECKS[check]
-        out = [run(cfg, jobs=jobs).summary() for jobs in (1, 2, 3)]
+        out = [run(cfg, jobs=jobs) for jobs in (1, 2, 3)]
         _no_child_left()
         return out
 
     def test_passing_run(self, check):
-        serial, *parallel = self.summaries(check)
-        assert serial["passed"]
+        serial, *parallel = self.reports(check)
+        assert serial.passed
         assert parallel == [serial, serial]
 
     @pytest.mark.parametrize("k", [0, 23, 39])
     def test_one_failing_trial(self, monkeypatch, check, k):
         _fail_trial(monkeypatch, k)
-        serial, *parallel = self.summaries(check)
-        assert serial["trials_run"] == k + 1
+        serial, *parallel = self.reports(check)
+        assert serial.trials_run == k + 1
         assert parallel == [serial, serial]
 
     def test_failures_in_every_share(self, monkeypatch, check):
         ORDER_CASES[check][2](monkeypatch)
-        serial, *parallel = self.summaries(check)
-        assert not serial["passed"]
+        serial, *parallel = self.reports(check)
+        assert not serial.passed
         assert parallel == [serial, serial]
 
     def test_a_failure_stops_every_worker(self, monkeypatch, check):
@@ -963,12 +963,12 @@ class TestParallelRuns:
         # stops at its next index instead of running its whole 10,000-trial share.
         _fail_trial(monkeypatch, 1)
         cfg = TrialConfig(trials=20_000)
-        serial = PARALLEL_CHECKS[check](cfg, jobs=1).summary()
+        serial = PARALLEL_CHECKS[check](cfg, jobs=1)
         draws = []
         draw = verify.substream
         monkeypatch.setattr(verify, "substream", lambda seed, index: draws.append(index) or draw(seed, index))
-        assert PARALLEL_CHECKS[check](cfg, jobs=2).summary() == serial
-        assert serial["trials_run"] == 2 and len(draws) < 10_000 // 2
+        assert PARALLEL_CHECKS[check](cfg, jobs=2) == serial
+        assert serial.trials_run == 2 and len(draws) < 10_000 // 2
         _no_child_left()
 
     def test_failure_at_index_zero_forks_no_worker(self, monkeypatch, check):
@@ -1022,7 +1022,7 @@ class TestSquareSweepIndices:
             "cover_involution_coords",
             lambda ell: ell if {n for n, c in enumerate(ell) if c} == pair else tau(ell),
         )
-        serial, *parallel = TestParallelRuns.summaries("square")
-        assert serial["counterexample"]["source"] == "exhaustive pair (5, 9)"
-        assert serial["trials_run"] > ORDER_CFG.trials
+        serial, *parallel = TestParallelRuns.reports("square")
+        assert serial.counterexample["source"] == "exhaustive pair (5, 9)"
+        assert serial.trials_run > ORDER_CFG.trials
         assert parallel == [serial, serial]
