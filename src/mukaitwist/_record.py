@@ -10,10 +10,17 @@ Equality and the hash read _key(), all fields by default; equality holds
 only between instances of the same class. Pickle and copy rebuild a value
 through its constructor from its field values, so a copy passes the same
 checks as the original, and a slotted record pickles at every protocol.
+require_int is the one int check of the constructors' counts and dimensions.
 """
 
 # object.__setattr__, which writes a slot past Record.__setattr__.
 set_field = object.__setattr__
+
+
+def require_int(field: str, value) -> None:
+    """Reject anything but an int for a count, a seed or a dimension; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{field} must be an int, got {type(value).__name__}")
 
 
 class Record:

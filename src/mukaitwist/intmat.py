@@ -1,9 +1,11 @@
 """Dense exact-integer matrices: Hermite/Smith normal forms, kernels, determinants, signatures.
 
 Entries are Python ints, so nothing can overflow silently; intermediate
-swell in the normal forms is absorbed by arbitrary precision. IntMatrix is a
-record (mukaitwist._record.Record): it refuses assignment, so a matrix that
-a cache shares cannot change, and all functions here are pure.
+swell in the normal forms is absorbed by arbitrary precision. Every matrix,
+those built here included, passes IntMatrix's one constructor, which refuses
+a dimension or entry that is not an int. IntMatrix is a record
+(mukaitwist._record.Record): it refuses assignment, so a matrix that a cache
+shares cannot change, and all functions here are pure.
 
 Conventions, fixed once so golden tests are stable:
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import _kernels
-from ._record import Record, set_field
+from ._record import Record, require_int, set_field
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -44,36 +46,35 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _exact_int(e) -> int:
+    """An entry as a plain int (a bool converted), or TypeError; the constructor's slow path."""
+    if isinstance(e, int):
+        return int(e)
+    raise TypeError(f"matrix entries must be exact ints, got {type(e).__name__}")
+
+
 class IntMatrix(Record):
     """Immutable dense matrix over the integers, its entries flat in row-major order."""
 
-    __slots__ = ("rows", "cols", "_d", "_sparse")
+    __slots__ = ("rows", "cols", "flat", "_sparse")
     _fields = ("rows", "cols", "flat")
 
     def __init__(self, rows: int, cols: int, flat: Iterable[int]):
+        require_int("rows", rows)
+        require_int("cols", cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        data = []
-        for e in flat:
-            if isinstance(e, bool):
-                e = int(e)
-            elif not isinstance(e, int):
-                raise TypeError(f"matrix entries must be exact ints, got {type(e).__name__}")
-            data.append(e)
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+        flat = tuple(flat)
+        if not _INT_ONLY.issuperset(map(type, flat)):
+            flat = tuple(map(_exact_int, flat))
+        if len(flat) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
         set_field(self, "rows", rows)
         set_field(self, "cols", cols)
-        set_field(self, "_d", tuple(data))
-
-    @classmethod
-    def _raw(cls, rows: int, cols: int, data: Iterable[int]) -> "IntMatrix":
-        # Trusted path for entries produced by our own integer kernels.
-        m = object.__new__(cls)
-        set_field(m, "rows", rows)
-        set_field(m, "cols", cols)
-        set_field(m, "_d", tuple(data))
-        return m
+        set_field(self, "flat", flat)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -94,11 +95,7 @@ class IntMatrix(Record):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._raw(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @property
-    def flat(self) -> tuple[int, ...]:
-        return self._d
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @property
     def sparse_rows(self) -> _kernels.SparseRows:
@@ -110,7 +107,7 @@ class IntMatrix(Record):
         try:
             return self._sparse
         except AttributeError:
-            c, d = self.cols, self._d
+            c, d = self.cols, self.flat
             sparse = _kernels.SparseRows(
                 tuple((j, a) for j, a in enumerate(d[i * c : (i + 1) * c]) if a) for i in range(self.rows)
             )
@@ -121,27 +118,27 @@ class IntMatrix(Record):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("matrix index out of range")
-        return self._d[i * self.cols + j]
+        return self.flat[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
             raise IndexError("matrix index out of range")
-        return self._d[i * self.cols : (i + 1) * self.cols]
+        return self.flat[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        r, c, d = self.rows, self.cols, self._d
-        return IntMatrix._raw(c, r, [d[i * c + j] for j in range(c) for i in range(r)])
+        r, c, d = self.rows, self.cols, self.flat
+        return IntMatrix(c, r, [d[i * c + j] for j in range(c) for i in range(r)])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = _kernels.matmul(self._d, other._d, self.rows, self.cols, other.cols)
-        return IntMatrix._raw(self.rows, other.cols, out)
+        out = _kernels.matmul(self.flat, other.flat, self.rows, self.cols, other.cols)
+        return IntMatrix(self.rows, other.cols, out)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -151,10 +148,10 @@ class IntMatrix(Record):
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix._raw(self.rows, self.cols, [a - b for a, b in zip(self._d, other._d)])
+        return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self.flat, other.flat)])
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._raw(self.rows, self.cols, [-a for a in self._d])
+        return IntMatrix(self.rows, self.cols, [-a for a in self.flat])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -166,7 +163,7 @@ class IntMatrix(Record):
     def is_symmetric(self) -> bool:
         if not self.is_square():
             return False
-        n, d = self.rows, self._d
+        n, d = self.rows, self.flat
         return all(d[i * n + j] == d[j * n + i] for i in range(n) for j in range(i + 1, n))
 
 
@@ -226,7 +223,7 @@ def _transposed(a: list[list[int]]) -> list[list[int]]:
 
 
 def _from_rows(a: list[list[int]], cols: int) -> IntMatrix:
-    return IntMatrix._raw(len(a), cols, [x for row in a for x in row])
+    return IntMatrix(len(a), cols, [x for row in a for x in row])
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import add, itemgetter
 
 from ._record import Record, set_field
-from .intmat import IntMatrix
+from .intmat import _INT_ONLY, IntMatrix
 from .lattices import COVER_SWAP, Isometry, Lattice, cover_involution_coords, standard_lattice
 
 # For annotations only, which are not evaluated: naming Fraction loads nothing.
@@ -39,7 +39,6 @@ Scalar = "int | Fraction"
 
 H2_RANK = 22
 FULL_RANK = 24
-_INT_ONLY = frozenset((int,))
 
 
 def _norm_scalar(x) -> Scalar:

@@ -24,10 +24,10 @@ default; it is an execution option, so it is in no config and no report):
   os.fork, after it has evaluated index 0: that first case builds every
   cache the cases read (the kernel basis of T - 1, the compiled Gram forms,
   and for phi the generator pool), so no worker builds it again, and if it
-  fails no worker is forked. The pool is one array that only the harvest
-  writes, so a worker reads it and builds nothing per letter. A forked
-  child holds only the forking thread, so pass jobs > 1 only from a
-  process that runs no other threads (the CLI runs none).
+  fails no worker is forked. The pool is one read-only view of the
+  harvested array, so a worker reads it and builds nothing per letter. A
+  forked child holds only the forking thread, so pass jobs > 1 only from
+  a process that runs no other threads (the CLI runs none).
 * early stop -- with w > 1 the workers share one 8-byte word (an
   anonymous mmap), the lowest failing index found so far, count at first.
   Before each index a worker stops if the index is above it; a worker
@@ -84,7 +84,7 @@ from functools import lru_cache, partial
 from itertools import chain, combinations, islice, takewhile
 from operator import add, neg
 
-from ._record import Record
+from ._record import Record, require_int
 from .intmat import IntMatrix, determinant, solve
 from .lattices import (
     Isometry,
@@ -113,12 +113,6 @@ DEFAULT_WORD_LENGTH = 8
 EXHAUSTIVE_ENTRY_BOUND = 2  # low-support exhaustive pass scans entries in [-2, 2]
 
 
-def _require_int(field: str, value) -> None:
-    """Reject anything but an int for a count or seed; a bool is not one."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{field} must be an int, got {type(value).__name__}")
-
-
 class TrialConfig(Record):
     """Deterministic sampling configuration for a verification run; immutable."""
 
@@ -126,7 +120,7 @@ class TrialConfig(Record):
 
     def __init__(self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, coord_bound: int = DEFAULT_COORD_BOUND):
         for field, value in (("trials", trials), ("seed", seed), ("coord_bound", coord_bound)):
-            _require_int(field, value)
+            require_int(field, value)
         if trials < 0:
             raise ValueError("trials must be >= 0")
         if not 0 <= seed < 2**64:
@@ -142,27 +136,25 @@ class TrialConfig(Record):
 
 
 class VerificationReport(Record):
-    """Outcome of one check: pass/fail, trial count, and any counterexample; immutable.
+    """Outcome of one check: the cases run and the first counterexample, if any; immutable.
 
-    Two reports are equal when everything but elapsed_s is. A report has no
-    hash, as its config and counterexample are dicts.
+    The counterexample is the verdict: a report passed when it has none, so
+    no report can read passed beside a counterexample. Two reports are equal
+    when everything but elapsed_s is. A report has no hash, as its
+    counterexample is a dict.
     """
 
-    _fields = ("check_name", "trials_run", "passed", "counterexample", "config", "elapsed_s")
+    _fields = ("check_name", "trials_run", "counterexample", "elapsed_s")
 
-    def __init__(
-        self,
-        check_name: str,
-        trials_run: int,
-        passed: bool,
-        counterexample: dict | None,
-        config: dict,
-        elapsed_s: float,
-    ):
-        super().__init__(check_name, trials_run, passed, counterexample, config, elapsed_s)
+    def __init__(self, check_name: str, trials_run: int, counterexample: dict | None, elapsed_s: float):
+        super().__init__(check_name, trials_run, counterexample, elapsed_s)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def _key(self) -> tuple:
-        return self.check_name, self.trials_run, self.passed, self.counterexample, self.config
+        return self.check_name, self.trials_run, self.counterexample
 
     __hash__ = None
 
@@ -248,9 +240,12 @@ def _receive(read_fd: int, worker: int) -> tuple[int, dict] | None:
     return result[0]
 
 
-def _run_cases(name: str, config: dict, cases, count: int, jobs: int = 1) -> VerificationReport:
-    """Run cases 0..count-1 on min(jobs, count) workers; report the lowest failing index."""
-    _require_int("jobs", jobs)
+def _run_cases(name: str, cases, count: int, jobs: int = 1) -> VerificationReport:
+    """Run cases 0..count-1 on min(jobs, count) workers; report the lowest failing index.
+
+    cases(indices) yields None or a counterexample per index; the report carries the first.
+    """
+    require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
@@ -280,14 +275,7 @@ def _run_cases(name: str, config: dict, cases, count: int, jobs: int = 1) -> Ver
             os.close(read_fd)
             os.waitpid(pid, 0)
     index, counterexample = min((f for f in failures if f is not None), default=(count - 1, None), key=lambda f: f[0])
-    return VerificationReport(
-        check_name=name,
-        trials_run=index + 1,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        config=config,
-        elapsed_s=time.perf_counter() - started,
-    )
+    return VerificationReport(name, index + 1, counterexample, time.perf_counter() - started)
 
 
 def _h2_blocks(coords: tuple[int, ...]):
@@ -365,7 +353,7 @@ def _square_results(cfg: TrialConfig, indices):
 
 def verify_square_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """(l + Tl)^2 = 0 mod 4 on random degree-2 classes plus a low-support sweep."""
-    return _run_cases("square-congruence", cfg.to_dict(), partial(_square_results, cfg), cfg.trials + SWEEP_CASES, jobs)
+    return _run_cases("square-congruence", partial(_square_results, cfg), cfg.trials + SWEEP_CASES, jobs)
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +429,7 @@ def _characteristic_results(cfg: TrialConfig, trials):
 
 def verify_characteristic_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """<(0,0,1), v> = v^2 mod 4 on T-invariant v from two independent samplers."""
-    return _run_cases("characteristic-congruence", cfg.to_dict(), partial(_characteristic_results, cfg), cfg.trials, jobs)
+    return _run_cases("characteristic-congruence", partial(_characteristic_results, cfg), cfg.trials, jobs)
 
 
 def _invariant_lattice_results():
@@ -481,24 +469,32 @@ def verify_invariant_lattice() -> VerificationReport:
     invariant lattice and is characteristic for the half form.
     """
     # Six steps, in order and in the parent: each step reads the ones before it.
-    return _run_cases("invariant-lattice", {}, lambda steps: _invariant_lattice_results(), 6)
+    return _run_cases("invariant-lattice", lambda steps: _invariant_lattice_results(), 6)
 
 
 _LETTER_ENTRIES = 2 * FULL_RANK  # a reflection's w, then its dual
 
 
 class _Pool(Record):
-    """T, -1 and the harvested reflections, as one array that only the harvest writes.
+    """T, -1 and the harvested reflections, as one read-only view of signed bytes.
 
     Letter 0 is T, letter 1 is -1, and letter i >= 2 the reflection in
     w_{i - 2}, whose w and dual 2 G w / w^2 fill the _LETTER_ENTRIES signed
-    bytes from (i - 2) * _LETTER_ENTRIES on. An array has no hash, so a
-    pool has none.
+    bytes from (i - 2) * _LETTER_ENTRIES on. entries is a read-only view,
+    without a copy, of the buffer given (the harvest's array, or a pickle's
+    bytes), so forked workers share a pool that refuses item assignment. A
+    view has no hash, so a pool has none.
     """
 
     __slots__ = ("entries",)
     _fields = ("entries",)
     __hash__ = None
+
+    def __init__(self, entries):
+        super().__init__(memoryview(entries).cast("b").toreadonly())
+
+    def __reduce__(self):
+        return type(self), (self.entries.tobytes(),)
 
     def __len__(self) -> int:
         return 2 + len(self.entries) // _LETTER_ENTRIES
@@ -565,7 +561,7 @@ def check_word_length(word_length: int) -> None:
 
     A phi trial draws its length from [0, word_length], at most 2**64 values.
     """
-    _require_int("word_length", word_length)
+    require_int("word_length", word_length)
     if not 0 <= word_length < 2**64:
         raise ValueError("word_length must be in [0, 2**64)")
 
@@ -577,7 +573,7 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
     as verify_phi_integrality evaluates it on (0,0,1); it is then checked as
     an isometry and for commuting with T.
     """
-    _require_int("seed", seed)
+    require_int("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be in [0, 2**64)")
     check_word_length(word_length)
@@ -647,9 +643,8 @@ def verify_phi_integrality(
     STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
     """
     check_word_length(word_length)
-    config = cfg.to_dict() | {"word_length": word_length}
     cases = partial(_phi_results, cfg, word_length=word_length)
-    return _run_cases("phi-integrality", config, cases, cfg.trials, jobs)
+    return _run_cases("phi-integrality", cases, cfg.trials, jobs)
 
 
 def run_claims_suite(cfg: TrialConfig, jobs: int = 1) -> list[VerificationReport]:

@@ -247,9 +247,7 @@ class TestVerifyCommand:
         fake = VerificationReport(
             check_name="square-congruence",
             trials_run=1,
-            passed=False,
             counterexample={"ell": [0] * 22},
-            config={},
             elapsed_s=0.0,
         )
         monkeypatch.setattr(verify, "run_claims_suite", lambda cfg, jobs: [fake])
@@ -263,9 +261,7 @@ class TestVerifyCommand:
         fake = VerificationReport(
             check_name="square-congruence",
             trials_run=1,
-            passed=False,
             counterexample={"ell": [0] * 22},
-            config={},
             elapsed_s=0.0,
         )
         monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg, jobs: [fake])
@@ -395,7 +391,7 @@ class TestJobsFlag:
     def test_default_is_the_usable_cores_capped(self, capsys, monkeypatch, cpus, default):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         seen = []
-        fake = VerificationReport("phi-integrality", 1, True, None, {}, 0.0)
+        fake = VerificationReport("phi-integrality", 1, None, 0.0)
         monkeypatch.setattr("mukaitwist.cli.run_claims_suite", lambda cfg, jobs: seen.append(jobs) or [])
         monkeypatch.setattr("mukaitwist.cli.verify_phi_integrality", lambda cfg, word_length, jobs: seen.append(jobs) or fake)
         assert main(["verify", "claims", "--trials", "1"]) == 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from mukaitwist import (
     IntMatrix,
+    _kernels,
     determinant,
     hermite_normal_form,
     kernel_basis,
@@ -304,6 +306,23 @@ class TestIntMatrix:
             IntMatrix(1, 1, [1.5])
         with pytest.raises(ValueError):
             IntMatrix(2, 2, [1, 2, 3])
+
+    @pytest.mark.parametrize("rows, cols, field", [(2.0, 2, "rows"), (True, 2, "rows"), (2, 2.0, "cols"), (2, False, "cols")])
+    def test_dimensions_must_be_ints(self, rows, cols, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got "):
+            IntMatrix(rows, cols, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="non-negative"):
+            IntMatrix(-2, 2, [])
+
+    def test_bool_entries_become_ints(self):
+        m = IntMatrix(1, 3, [True, False, 2])
+        assert m.flat == (1, 0, 2) and set(map(type, m.flat)) == {int}
+
+    def test_products_pass_the_entry_check(self, monkeypatch):
+        # Every matrix goes through the constructor, so a kernel result that is not an int is refused.
+        monkeypatch.setattr(_kernels, "matmul", lambda a, b, n, k, m: [Fraction(1, 2), 0, 0, 1])
+        with pytest.raises(TypeError, match="^matrix entries must be exact ints, got Fraction$"):
+            IntMatrix.identity(2) @ IntMatrix.identity(2)
 
     def test_big_integers_survive(self):
         big = 10**40

@@ -28,7 +28,7 @@ from mukaitwist.verify import _Pool
 
 RECORDS = [
     TrialConfig(trials=5, seed=3, coord_bound=9),
-    VerificationReport("square-congruence", 3, False, {"ell": [1, 2]}, {"trials": 3}, 0.5),
+    VerificationReport("square-congruence", 3, {"ell": [1, 2]}, 0.5),
     e4_page(CohomologySpec.enriques(twisted=True)),
     FGAbelianGroup(1, (2, 4)),
     CohomologySpec.enriques(twisted=True),
@@ -131,10 +131,10 @@ def test_a_cached_lattice_cannot_be_poisoned():
         with pytest.raises(AttributeError):
             h2.gram = IntMatrix.identity(22)
         with pytest.raises(AttributeError):
-            gram._d = (0,) * 576
+            gram.flat = (0,) * 576
     finally:
         object.__setattr__(h2, "gram", saved_gram)
-        object.__setattr__(gram, "_d", saved_entries)
+        object.__setattr__(gram, "flat", saved_entries)
     assert verify_square_congruence(TrialConfig(trials=50)).passed
 
 
