@@ -3,15 +3,24 @@
 Groups are kept in canonical form: a free rank plus a chain of invariant
 factors d1 | d2 | ... (each >= 2). Elements are integer coordinate tuples
 over the generators, free generators first, then one generator per torsion
-factor. Presentations are canonicalized through the Smith normal form;
-direct sums, being diagonal, are folded into the chain with gcd and lcm.
+factor. Direct sums, being diagonal, are folded into the chain with gcd and
+lcm.
 
-A quotient by one element presents at most one free generator and one
-generator per distinct torsion factor, each carrying the gcd of the
-element's coordinates on that block; the other generators of the block
-split off as a direct summand. The Smith form therefore stays as small as
-the number of distinct factors, however many generators the element
-involves.
+A quotient by one element x comes from a closed form, with no Smith form.
+The free coordinates collapse to their gcd on one free generator, a factor
+0 at the top of the chain; the other free generators stay free. What is
+left is the cokernel of [D | x], D = diag(d_1, ..., d_k) along a
+divisibility chain. An i x i minor of [D | x] is nonzero only as a product
+of i diagonal entries, or as x_t times i - 1 diagonal entries from rows
+other than t. Along the chain the smallest of these products divide all
+the others: d_1...d_i, d_1...d_(i-1) * x_t for t >= i, and
+x_t * d_1...d_i / d_t for t < i. So the i-th determinantal divisor is
+
+    Delta_i = d_1...d_(i-1) * c_i,   c_i = gcd(d_i, gcd(x_t : t >= i), R_i),
+
+with R_1 = 0 and R_(i+1) = (d_(i+1) / d_i) * gcd(R_i, x_i), and the
+invariant factors are s_i = Delta_i / Delta_(i-1) = d_(i-1) * c_i / c_(i-1).
+That is one pass of gcds, linear in the number of factors.
 
 The degree computation is the spectral-sequence endgame for a compact
 surface twisted by a torsion class alpha in H^3: the only differential that
@@ -32,30 +41,32 @@ import json
 import os
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
 from math import gcd, lcm
 
 from ._record import Record
-from .intmat import IntMatrix, smith_normal_form
 
 
 def _fold_factor(chain: list[int], x: int) -> None:
-    """Fold Z/x into the invariant-factor chain (ascending), in place.
+    """Fold Z/x into the invariant-factor chain (descending), in place.
 
     Top down, each entry d and the carry x become lcm(d, x) and the new
     carry gcd(d, x), as Z/d + Z/x = Z/lcm + Z/gcd; the fold stops once the
     carry is 1. Entries that x divides are left unchanged by that step, and
     they form the top of what remains, so they are skipped by bisection.
-    Each real step replaces x by a proper divisor.
+    Each real step replaces x by a proper divisor. A carry that divides
+    every entry left goes at the bottom, an append, so folding many equal
+    factors moves no entry.
     """
-    i = len(chain)
+    i = 0
     while x > 1:
-        i = bisect_left(chain, True, 0, i, key=lambda d: d % x == 0)
-        if i == 0:
-            chain.insert(0, x)
+        i = bisect_left(chain, True, i, key=lambda d: d % x != 0)
+        if i == len(chain):
+            chain.append(x)
             return
-        i -= 1
         d = chain[i]
         chain[i], x = lcm(d, x), gcd(d, x)
+        i += 1
 
 
 class FGAbelianGroup(Record):
@@ -81,23 +92,6 @@ class FGAbelianGroup(Record):
         if d == 0:
             return cls(1)
         return cls(0, (abs(d),) if abs(d) > 1 else ())
-
-    @classmethod
-    def from_presentation(cls, n_generators: int, relations: Sequence[Sequence[int]]) -> "FGAbelianGroup":
-        """Cokernel of the map whose columns are the given relations in Z^n."""
-        k = len(relations)
-        for col in relations:
-            if len(col) != n_generators:
-                raise ValueError("relation length does not match generator count")
-        # A generator that no relation touches is free in the cokernel. Leaving
-        # it out of the Smith form keeps that form (and its dense n x n
-        # transform) to the generators the relations involve.
-        touched = sorted({i for col in relations for i, x in enumerate(col) if x})
-        flat = [relations[j][i] for i in touched for j in range(k)]
-        s, _, _ = smith_normal_form(IntMatrix(len(touched), k, flat))
-        diag = [s[i, i] for i in range(min(len(touched), k))]
-        nonzero = [d for d in diag if d]
-        return cls(n_generators - len(nonzero), tuple(d for d in nonzero if d > 1))
 
     @property
     def n_generators(self) -> int:
@@ -130,28 +124,31 @@ class FGAbelianGroup(Record):
         return order
 
     def quotient_by(self, coords: Sequence[int]) -> "FGAbelianGroup":
-        """The quotient by the cyclic subgroup generated by one element."""
+        """The quotient by the cyclic subgroup generated by one element.
+
+        The invariant factors s_i of [diag(d_1, ..., d_k[, 0]) | x], read in
+        one pass of gcds from the closed form the module docstring derives
+        (r is R_i, carry is gcd(R_i, x_i)). Free generators past the first
+        are untouched and stay free.
+        """
         coords = self.reduce_element(coords)
-        f = self.free_rank
-        # On the k generators of one factor d, a change of basis in GL_k(Z)
-        # moves the element's coordinates to (gcd, 0, ..., 0): the other k - 1
-        # split off as (Z/d)^(k-1), and likewise on the free generators.
-        gcds: dict[int, int] = {}
-        for c, d in zip(coords[f:], self.torsion):
-            gcds[d] = gcd(gcds.get(d, 0), c)
-        kept = min(f, 1)
-        n = kept + len(gcds)
-        relations = [[d if i == kept + j else 0 for i in range(n)] for j, d in enumerate(gcds)]
-        element = [gcd(*coords[:f])] * kept + list(gcds.values())
-        q = FGAbelianGroup.from_presentation(n, relations + [element])
-        t = self.torsion
-        split = tuple(d for prev, d in zip(t, t[1:]) if d == prev)
-        return FGAbelianGroup(f - kept, split).direct_sum(q)
+        kept = min(self.free_rank, 1)
+        factors = self.torsion + (0,) * kept
+        x = coords[self.free_rank :] + (gcd(*coords[: self.free_rank]),) * kept
+        tails = list(accumulate(reversed(x), gcd))[::-1]  # gcd(x_t : t >= i)
+        s, d_prev, c_prev, carry = [], 1, 1, 0
+        for d, x_i, tail in zip(factors, x, tails):
+            r = d // d_prev * carry
+            c = gcd(d, tail, r)
+            s.append(d_prev * c // c_prev)
+            d_prev, c_prev, carry = d, c, gcd(r, x_i)
+        return FGAbelianGroup(self.free_rank - kept + s.count(0), tuple(t for t in s if t > 1))
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        chain = list(self.torsion)
+        chain = list(reversed(self.torsion))
         for d in other.torsion:
             _fold_factor(chain, d)
+        chain.reverse()
         return FGAbelianGroup(self.free_rank + other.free_rank, chain)
 
     def times(self, k: int) -> "FGAbelianGroup":
