@@ -3,11 +3,12 @@
 Arbitrary precision throughout: ints in, ints out, or Fractions where a
 vector entry is a Fraction. Nothing overflows or truncates.
 
-``matvec``, ``bilinear`` and ``quadform`` take a matrix as its ``SparseRows``
-(``IntMatrix.sparse_rows``), for each row the (j, a_ij) pairs with a_ij != 0,
-and ``matvec`` returns a tuple. The Gram matrices of the standard lattices
-have at most four nonzero entries per row (50 of 484 for mukai_h2), so a call
-costs a few products per coordinate, not a pass over every entry.
+``matvec``, ``bilinear`` and ``quadform`` take an ``IntMatrix`` and run the
+forms it keeps in its ``matvec`` and ``bilinear`` slots; ``matvec`` returns a
+tuple. A form reads only the nonzero entries a_ij of its matrix. The Gram
+matrices of the standard lattices have at most four per row (50 of 484 for
+mukai_h2), so a call costs a few products per coordinate, not a pass over
+every entry.
 
 Each form runs as one straight-line expression compiled for its matrix,
 so no loop or pair is interpreted per call. For the rows of [[-2, 1], [1, -2]]:
@@ -15,13 +16,14 @@ so no loop or pair is interpreted per call. For the rows of [[-2, 1], [1, -2]]:
     matvec:   lambda v: (-2*v[0] + v[1], v[0] + -2*v[1], )
     bilinear: lambda u, v: (u[0]*(-2*v[0] + v[1]) if u[0] else 0) + (u[1]*(v[0] + -2*v[1]) if u[1] else 0)
 
-The text holds only indices and int literals. A form is compiled on its
-first call and kept on the ``SparseRows`` that ``IntMatrix`` caches, so each
+The text holds only indices and int literals. ``compile_form`` builds a
+form from the matrix's dimensions and flat entries on its first use, and the
+matrix keeps it in a slot that, like its entries, refuses assignment. So each
 matrix compiles each form at most once, and importing the package compiles
-nothing. A zero u[i] contributes nothing, so the value and type are those of
-summing u_i (A v)_i over the nonzero u_i from the int 0. ``quadform`` is
-``bilinear(v, v)``. ``matmul`` and ``norm_scan`` take flat row-major
-sequences.
+nothing; this module imports nothing from the package. A zero u[i]
+contributes nothing, so the value and type are those of summing u_i (A v)_i
+over the nonzero u_i from the int 0. ``quadform`` is ``bilinear(v, v)``.
+``matmul`` and ``norm_scan`` take flat row-major sequences.
 
 ``norm_scan`` enumerates a box by meeting in the middle: it splits the
 coordinates into a head and a tail half and files every tail once, in lex
@@ -52,50 +54,28 @@ def matmul(a, b, n, k, m):
     return out
 
 
-def matvec(rows, v):
-    """A v for the matrix A with the given SparseRows -> tuple, one entry per row."""
-    return rows.matvec(v)
+def matvec(m, v):
+    """A v for the IntMatrix A -> tuple, one entry per row."""
+    return m.matvec(v)
 
 
-def bilinear(rows, u, v):
-    """u^T G v for the symmetric matrix G with the given SparseRows."""
-    return rows.bilinear(u, v)
+def bilinear(m, u, v):
+    """u^T G v for the symmetric IntMatrix G."""
+    return m.bilinear(u, v)
 
 
-def quadform(rows, v, _bilinear=bilinear):
-    """v^T G v for the symmetric matrix G with the given sparse rows."""
+def quadform(m, v, _bilinear=bilinear):
+    """v^T G v for the symmetric IntMatrix G."""
     # bilinear is bound at definition, not looked up per call, so a caller
     # that rebinds the kernels' names (perfbench's tracer wraps every
     # binding) still sees one kernel call per quadform.
-    return _bilinear(rows, v, v)
+    return _bilinear(m, v, v)
 
 
-class SparseRows(tuple):
-    """A matrix's sparse rows, holding its compiled matvec and bilinear forms.
-
-    Each form is generated and compiled on its first use and kept in the
-    instance __dict__, so it is built once per matrix. Every pairing with
-    the matrix runs the form kept here, so assignment and deletion are
-    refused, with the messages of mukaitwist._record.Record; this module
-    imports nothing from the package.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: SparseRows is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: SparseRows is immutable")
-
-    def __getattr__(self, name):
-        build = _SOURCES.get(name)
-        if build is None:
-            raise AttributeError(name)
-        form = self.__dict__[name] = _compile(build(self))
-        return form
-
-    def __reduce__(self):
-        # The rows alone: a copy compiles its own forms on first use.
-        return SparseRows, (tuple(self),)
+def compile_form(name, rows, cols, flat):
+    """The form name, "matvec" or "bilinear", compiled for the rows x cols matrix of these flat entries."""
+    sparse = [[(j, a) for j, a in enumerate(flat[i * cols : (i + 1) * cols]) if a] for i in range(rows)]
+    return _compile(_SOURCES[name](sparse))
 
 
 def _compile(source):

@@ -9,8 +9,10 @@ Subcommands:
 * ``lattice info``            -- rank/Gram/determinant/parity/definiteness
 
 Exit codes: 0 all checks passed, 1 a verification failed (counterexample
-printed), 2 usage or input error. An internal fault, such as a map that is
-not an isometry, is none of these: it raises with its traceback. Reports
+printed), 2 usage or input error, 70 an internal fault, such as a map that
+is not an isometry. main raises such a fault; run, the entry point of the
+``mukaitwist`` script and of ``python -m mukaitwist``, prints its traceback
+to stderr and returns EXIT_INTERNAL_FAULT, so no fault reads as 1. Reports
 are plain text by default; ``--json`` emits a machine-readable document
 with a fixed field order (schema in mukaitwist/data/report_schema.json).
 Runs are reproducible: the default seed is fixed, and identical arguments
@@ -31,6 +33,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from .intmat import signature_and_det
 from .ktheory import CohomologySpec, SpecFormatError, e4_page
@@ -53,6 +56,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL_FAULT = 70  # EX_SOFTWARE of sysexits.h
 
 # The largest default --jobs: 2 workers beat 1 at both suites' defaults on a
 # 2-core host; more workers have not been measured.
@@ -119,6 +123,25 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument("--json", action="store_true")
 
     return parser
+
+
+@contextmanager
+def _any_int_digits():
+    """Lift Python's digit limit on int-to-text conversion while a report is formatted.
+
+    A result can have more digits than any one input number: K1 of two
+    factors under the limit is their product. The limit stays on input,
+    where CohomologySpec.from_file relies on it to refuse an over-long
+    number. Before Python 3.10.7 there is no limit to lift.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit(doc: dict, as_json: bool, text_lines: list[str], started: float) -> None:
@@ -191,45 +214,46 @@ def _run_ktheory(args) -> int:
         print(f"error: malformed cohomology file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    page = e4_page(spec)
-    k1 = page.k1()
-    k = page.h0_multiplier
-    k0 = page.k0_graded()
+    with _any_int_digits():
+        page = e4_page(spec)
+        k1 = page.k1()
+        k = page.h0_multiplier
+        k0 = page.k0_graded()
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ktheory",
-        "result": {
-            "source": source,
-            "cohomology": spec.to_dict(),
-            "alpha_order": k,
-            "e4_page": {
-                "h0_multiplier": page.h0_multiplier,
-                "columns": [g.to_dict() | {"display": str(g)} for g in page.columns],
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "ktheory",
+            "result": {
+                "source": source,
+                "cohomology": spec.to_dict(),
+                "alpha_order": k,
+                "e4_page": {
+                    "h0_multiplier": page.h0_multiplier,
+                    "columns": [g.to_dict() | {"display": str(g)} for g in page.columns],
+                },
+                "k1": k1.to_dict() | {"display": str(k1)},
+                "k0_graded": {
+                    "columns": [g.to_dict() | {"display": str(g)} for g in k0],
+                    "extension_resolved": False,
+                },
             },
-            "k1": k1.to_dict() | {"display": str(k1)},
-            "k0_graded": {
-                "columns": [g.to_dict() | {"display": str(g)} for g in k0],
-                "extension_resolved": False,
-            },
-        },
-    }
+        }
 
-    alpha_desc = "zero" if k == 1 else f"nonzero of order {k}"
-    cols = page.columns
-    text = [
-        f"input: {source}",
-        "cohomology: H0 = {}, H1 = {}, H2 = {}, H3 = {}, H4 = {}".format(
-            spec.h0, spec.h1, spec.h2, spec.h3, spec.h4
-        ),
-        f"twist class alpha: {alpha_desc}",
-        f"stable page: [{k}*H0 = {cols[0]} | H1 = {cols[1]} | H2 = {cols[2]}"
-        f" | H3/alpha = {cols[3]} | H4 = {cols[4]}]",
-        f"K1 = {k1}",
-        "K0 graded pieces (extension problem not resolved): "
-        + " | ".join(str(g) for g in k0),
-    ]
-    _emit(doc, args.json, text, started)
+        alpha_desc = "zero" if k == 1 else f"nonzero of order {k}"
+        cols = page.columns
+        text = [
+            f"input: {source}",
+            "cohomology: H0 = {}, H1 = {}, H2 = {}, H3 = {}, H4 = {}".format(
+                spec.h0, spec.h1, spec.h2, spec.h3, spec.h4
+            ),
+            f"twist class alpha: {alpha_desc}",
+            f"stable page: [{k}*H0 = {cols[0]} | H1 = {cols[1]} | H2 = {cols[2]}"
+            f" | H3/alpha = {cols[3]} | H4 = {cols[4]}]",
+            f"K1 = {k1}",
+            "K0 graded pieces (extension problem not resolved): "
+            + " | ".join(str(g) for g in k0),
+        ]
+        _emit(doc, args.json, text, started)
     return EXIT_OK
 
 
@@ -278,5 +302,16 @@ def main(argv: list[str] | None = None) -> int:
     return _run_lattice_info(args)
 
 
+def run(argv: list[str] | None = None) -> int:
+    """main, with an internal fault printed as its traceback and returned as EXIT_INTERNAL_FAULT."""
+    try:
+        return main(argv)
+    except Exception:
+        import traceback  # only on a fault: the commands never load it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL_FAULT
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -5,7 +5,9 @@ swell in the normal forms is absorbed by arbitrary precision. Every matrix,
 those built here included, passes IntMatrix's one constructor, which refuses
 a dimension or entry that is not an int. IntMatrix is a record
 (mukaitwist._record.Record): it refuses assignment, so a matrix that a cache
-shares cannot change, and all functions here are pure.
+shares cannot change, and all functions here are pure. The forms that
+mukaitwist._kernels compiles for a matrix's products with vectors live in its
+matvec and bilinear slots, filled on first use, so they refuse assignment too.
 
 Conventions, fixed once so golden tests are stable:
 
@@ -59,7 +61,8 @@ def _exact_int(e) -> int:
 class IntMatrix(Record):
     """Immutable dense matrix over the integers, its entries flat in row-major order."""
 
-    __slots__ = ("rows", "cols", "flat", "_sparse")
+    # matvec and bilinear hold the matrix's compiled forms (see mukaitwist._kernels).
+    __slots__ = ("rows", "cols", "flat", "matvec", "bilinear")
     _fields = ("rows", "cols", "flat")
 
     def __init__(self, rows: int, cols: int, flat: Iterable[int]):
@@ -97,22 +100,15 @@ class IntMatrix(Record):
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @property
-    def sparse_rows(self) -> _kernels.SparseRows:
-        """For each row i, the (j, a_ij) pairs with a_ij != 0, in column order.
-
-        Built on first use and cached, with the kernels compiled from it: most
-        matrices (normal-form steps, products) are never multiplied by a vector.
-        """
-        try:
-            return self._sparse
-        except AttributeError:
-            c, d = self.cols, self.flat
-            sparse = _kernels.SparseRows(
-                tuple((j, a) for j, a in enumerate(d[i * c : (i + 1) * c]) if a) for i in range(self.rows)
-            )
-            set_field(self, "_sparse", sparse)
-            return sparse
+    def __getattr__(self, name):
+        # Reached only when a slot is empty. The forms are compiled on first
+        # use, since most matrices (normal-form steps, products) never meet a
+        # vector, and are then kept, so each is compiled once per matrix.
+        if name not in ("matvec", "bilinear"):
+            raise AttributeError(f"'IntMatrix' object has no attribute {name!r}")
+        form = _kernels.compile_form(name, self.rows, self.cols, self.flat)
+        set_field(self, name, form)
+        return form
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -143,7 +139,7 @@ class IntMatrix(Record):
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return _kernels.matvec(self.sparse_rows, v)
+        return _kernels.matvec(self, v)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:

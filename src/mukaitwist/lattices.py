@@ -53,12 +53,12 @@ class Lattice(Record):
         if not len(u) == len(v) == self.rank:
             self._check_length(u)
             self._check_length(v)
-        return _kernels.bilinear(self.gram.sparse_rows, u, v)
+        return _kernels.bilinear(self.gram, u, v)
 
     def norm(self, v: Sequence):
         """The square v . v."""
         self._check_length(v)
-        return _kernels.quadform(self.gram.sparse_rows, v)
+        return _kernels.quadform(self.gram, v)
 
     def is_even(self) -> bool:
         """True when every diagonal Gram entry is even (so all squares are)."""
@@ -214,7 +214,7 @@ def reflection_dual(lattice: Lattice, w: Sequence[int]) -> Vector:
     of a reflection vector is checked.
     """
     lattice._check_length(w)
-    gw = _kernels.matvec(lattice.gram.sparse_rows, w)
+    gw = _kernels.matvec(lattice.gram, w)
     n2 = sum(map(mul, w, gw))
     if n2 not in (2, -2):
         raise ValueError(f"reflection vector must have square +-2, got {n2}")

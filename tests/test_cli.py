@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mukaitwist.cli as cli
 import mukaitwist.mukai as mukai
 import mukaitwist.verify as verify
 from mukaitwist.cli import main
@@ -127,6 +128,32 @@ class TestKtheoryCommand:
         code, _, err = run(capsys, "ktheory", "--input", str(huge))
         assert code == 2
         assert "malformed cohomology file: top level:" in err
+
+    def test_k1_with_more_digits_than_any_input_number_prints(self, capsys, tmp_path):
+        # Each factor is under Python's 4300-digit limit on int-to-text
+        # conversion, so the file parses; K1 = Z/(their product) has 7,914 digits.
+        doc = json.loads((DATA / "enriques.json").read_text())
+        a, b = 10**4000 + 3, 2**13000
+        doc["h1"]["torsion"], doc["h3"]["torsion"], doc["alpha"]["coords"] = [a], [b], [0]
+        spec = tmp_path / "long_k1.json"
+        spec.write_text(json.dumps(doc))
+        limits = hasattr(sys, "get_int_max_str_digits")  # Python >= 3.10.7
+        limit = sys.get_int_max_str_digits() if limits else 0
+        code, out, err = run(capsys, "ktheory", "--input", str(spec))
+        json_code, json_out, json_err = run(capsys, "ktheory", "--input", str(spec), "--json")
+        assert (code, err, json_code, json_err) == (0, "", 0, "")
+        assert (sys.get_int_max_str_digits() if limits else 0) == limit  # input keeps its limit
+        if limits:
+            sys.set_int_max_str_digits(0)
+        try:
+            k1 = json.loads(json_out)["result"]["k1"]
+            want = str(a * b)
+        finally:
+            if limits:
+                sys.set_int_max_str_digits(limit)
+        assert len(want) == 7914
+        assert k1 == {"free_rank": 0, "torsion": [a * b], "display": "Z/" + want}
+        assert f"\nK1 = Z/{want}\n" in out
 
     def test_huge_free_rank_takes_under_a_second(self, capsys, tmp_path):
         # Free generators stay out of the Smith forms, whose transforms are
@@ -363,6 +390,53 @@ class TestInternalFaults:
         assert code == 2
         assert "word_length" in err
         assert out == ""
+
+
+# Run at start-up by `python -m mukaitwist` when its folder leads PYTHONPATH:
+# the lattice info handler then raises.
+INJECT_FAULT = """
+import mukaitwist.cli
+
+
+def fault(args):
+    raise RuntimeError("injected fault")
+
+
+mukaitwist.cli._run_lattice_info = fault
+"""
+
+
+class TestFaultExitStatus:
+    """The entry point turns a fault that main raises into its traceback and exit status 70."""
+
+    def test_a_handler_that_raises_exits_70_with_its_traceback(self, capsys, monkeypatch):
+        def fault(args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "_run_lattice_info", fault)
+        assert cli.run(["lattice", "info", "--name", "u"]) == cli.EXIT_INTERNAL_FAULT == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("RuntimeError: injected fault\n")
+
+    def test_other_statuses_pass_through(self, capsys):
+        assert cli.run(["lattice", "info", "--name", "u"]) == 0
+        assert cli.run(["ktheory", "--enriques"]) == 2
+        with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+            cli.run(["lattice"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_python_m_exits_70_with_the_traceback(self, tmp_path):
+        (tmp_path / "sitecustomize.py").write_text(INJECT_FAULT)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "mukaitwist", "lattice", "info", "--name", "u"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (70, "")
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.endswith("RuntimeError: injected fault\n")
 
 
 class TestJobsFlag:

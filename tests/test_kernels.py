@@ -31,7 +31,7 @@ def matrices(draw, square=False):
 
 
 def sparse(a):
-    return IntMatrix.from_rows(a).sparse_rows
+    return IntMatrix.from_rows(a)
 
 
 def vectors(length):
@@ -166,28 +166,28 @@ def test_dispatcher_falls_back_on_big_entries():
     big = 10**30
     out = _kernels.matmul((big, 0, 0, big), (big, 0, 0, big), 2, 2, 2)
     assert out[0] == big * big
-    rows = IntMatrix.from_rows([[big, 1], [1, big]]).sparse_rows
+    rows = IntMatrix.from_rows([[big, 1], [1, big]])
     assert _kernels.bilinear(rows, (big, 0), (big, 1)) == big**3 + big
 
 
 def test_dispatcher_falls_back_on_fractions():
     half = Fraction(1, 2)
-    rows = IntMatrix.from_rows([[0, 1], [1, 0]]).sparse_rows
+    rows = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert _kernels.bilinear(rows, (half, half), (1, 1)) == 1
 
 
 def test_empty_dimensions():
     assert _kernels.matmul((), (), 0, 0, 0) == []
     assert _kernels.matmul((), (), 2, 0, 0) in ([],)
-    empty = IntMatrix(0, 0, ()).sparse_rows
+    empty = IntMatrix(0, 0, ())
     assert _kernels.matvec(empty, ()) == ()
-    assert _kernels.matvec(IntMatrix(2, 0, ()).sparse_rows, ()) == (0, 0)
+    assert _kernels.matvec(IntMatrix(2, 0, ()), ()) == (0, 0)
     assert _kernels.bilinear(empty, (), ()) == 0
 
 
 def test_dispatcher_rational_vectors_are_exact():
     half = Fraction(1, 2)
-    rows = IntMatrix.from_rows([[2, 1], [1, 2]]).sparse_rows
+    rows = IntMatrix.from_rows([[2, 1], [1, 2]])
     assert _kernels.quadform(rows, (half, 1)) == Fraction(7, 2)
     assert _kernels.matvec(rows, (half, half)) == (Fraction(3, 2), Fraction(3, 2))
 
@@ -265,8 +265,8 @@ def test_each_matrix_compiles_each_form_once(monkeypatch):
     for k in range(5):
         u, v = (k, 1, -k), (3, k, 1)
         assert gram.mul_vec(v) == dense_matvec(gram.to_rows(), v)
-        assert _kernels.bilinear(gram.sparse_rows, u, v) == dense_bilinear(gram.to_rows(), u, v)
-        assert _kernels.quadform(gram.sparse_rows, v) == dense_bilinear(gram.to_rows(), v, v)
+        assert _kernels.bilinear(gram, u, v) == dense_bilinear(gram.to_rows(), u, v)
+        assert _kernels.quadform(gram, v) == dense_bilinear(gram.to_rows(), v, v)
     assert [source.split(":")[0] for source in compiled] == ["lambda v", "lambda u, v"]
 
 
@@ -297,10 +297,10 @@ def test_every_matvec_goes_through_the_module_binding(monkeypatch):
 def test_a_used_matrix_still_pickles():
     gram = full_lattice().gram
     v = tuple(range(24))
-    want = gram.mul_vec(v), _kernels.bilinear(gram.sparse_rows, v, v)
+    want = gram.mul_vec(v), _kernels.bilinear(gram, v, v)
     copy = pickle.loads(pickle.dumps(gram))
     assert copy == gram
-    assert (copy.mul_vec(v), _kernels.bilinear(copy.sparse_rows, v, v)) == want
+    assert (copy.mul_vec(v), _kernels.bilinear(copy, v, v)) == want
 
 
 # Loads _kernels alone, wraps its compile helper, then imports the package,

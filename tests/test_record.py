@@ -17,14 +17,16 @@ from mukaitwist import (
     MukaiVector,
     TrialConfig,
     VerificationReport,
+    _kernels,
     canonical_b_field,
     cover_involution_h2,
     e4_page,
     full_lattice,
     standard_lattice,
+    twisted_involution_matrix,
     verify_square_congruence,
 )
-from mukaitwist.verify import _Pool
+from mukaitwist.verify import _invariant_basis, _Pool
 
 RECORDS = [
     TrialConfig(trials=5, seed=3, coord_bound=9),
@@ -139,13 +141,41 @@ def test_a_cached_lattice_cannot_be_poisoned():
 
 
 def test_compiled_forms_refuse_assignment():
-    rows = full_lattice().gram.sparse_rows
-    form = rows.bilinear
+    gram = full_lattice().gram
+    form = gram.bilinear
     try:
-        with pytest.raises(AttributeError, match="cannot assign to field 'bilinear': SparseRows is immutable"):
-            rows.bilinear = lambda u, v: 0
-        with pytest.raises(AttributeError, match="cannot delete field 'bilinear': SparseRows is immutable"):
-            del rows.bilinear
+        with pytest.raises(AttributeError, match="cannot assign to field 'bilinear': IntMatrix is immutable"):
+            gram.bilinear = lambda u, v: 0
+        with pytest.raises(AttributeError, match="cannot delete field 'bilinear': IntMatrix is immutable"):
+            del gram.bilinear
     finally:
-        rows.__dict__["bilinear"] = form
-    assert rows.bilinear is form
+        object.__setattr__(gram, "bilinear", form)
+    assert gram.bilinear is form
+
+
+# The matrices that a cache shares for the life of the process.
+CACHED_MATRICES = {
+    "full": lambda: full_lattice().gram,
+    **{name: lambda name=name: standard_lattice(name).gram for name in ("u", "minus_e8", "mukai_h2")},
+    "invariant_basis": lambda: _invariant_basis()[0],
+    "twisted_involution": lambda: twisted_involution_matrix().matrix,
+}
+
+
+@pytest.mark.parametrize("name", CACHED_MATRICES)
+def test_a_cached_matrix_keeps_its_compiled_forms_out_of_reach(name):
+    # With an instance __dict__, a kept form could be swapped past the refusals:
+    # a swapped bilinear on the full Gram would make every trial's pairing 0.
+    m = CACHED_MATRICES[name]()
+    rows = m.to_rows()
+    u, v = tuple(range(1, m.rows + 1)), tuple(range(2, m.cols + 2))
+    assert _kernels.matvec(m, v) == tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+    assert _kernels.bilinear(m, u, v) == sum(ui * a * vj for ui, row in zip(u, rows) for a, vj in zip(row, v))
+    assert not hasattr(m, "__dict__")
+    for form in ("matvec", "bilinear"):
+        kept = getattr(m, form)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{form}': IntMatrix is immutable"):
+            setattr(m, form, lambda *args: 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{form}': IntMatrix is immutable"):
+            delattr(m, form)
+        assert getattr(m, form) is kept
