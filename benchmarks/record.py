@@ -1,9 +1,11 @@
-"""Record the benchmark of one checkout as BENCH_<pr>.json, or compare two records.
+"""Record the benchmark of one checkout as BENCH_<pr>.json, compare two records,
+or run one workload in this checkout and another in alternating pairs.
 
 Run from the root of a checkout:
 
     python3 benchmarks/record.py --pr N
     python3 benchmarks/record.py --compare BENCH_A.json BENCH_B.json
+    python3 benchmarks/record.py --alternate OTHER_CHECKOUT --workload W --pairs N [--seed S]
 
 A record holds, for the checkout as it is:
 
@@ -27,6 +29,18 @@ process compiles the package from source.
 the ratio B / A, A's interquartile range, and a verdict. A difference smaller
 than A's interquartile range is marked noise; single-sample metrics (the
 per-layer ones and the Tier-1 wall) carry no verdict.
+
+--alternate runs `perfbench/run.py --workload W --trace 0 --seconds
+<run_seconds>` in OTHER_CHECKOUT (the parent, say) and in this checkout, one
+after the other, for N pairs with seeds S, S + 1, ... (S is 1 by default).
+The other checkout runs first in the first pair, and the first side switches
+on each pair. Before the pairs each side runs once for 1 s, uncounted, so
+that no counted run is the first in its checkout (a cold checkout reads a
+higher peak_rss_mib). It prints every pair, then for each end-to-end metric
+the other checkout's median and quartiles, this checkout's median, how many
+pairs this checkout won (ties count for neither), and a verdict by
+BENCHMARK.json's `better` and `bound` (see pair_verdict), then every run
+that was incorrect or had failed operations.
 """
 from __future__ import annotations
 
@@ -51,10 +65,10 @@ SLOW_TEST_S = 0.5  # Tier-1 tests at least this slow get their own row
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 
 
-def run(args: list[str], env: dict | None = None) -> tuple[subprocess.CompletedProcess, float]:
+def run(args: list[str], env: dict | None = None, cwd: Path = ROOT) -> tuple[subprocess.CompletedProcess, float]:
     """One fresh child process in the checkout, and its wall time."""
     t = time.perf_counter()
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env or ENV, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env or ENV, capture_output=True, text=True)
     return proc, time.perf_counter() - t
 
 
@@ -63,12 +77,12 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def perfbench(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
-    """One perfbench run: its result object and its provenance."""
+def perfbench(workload: str, seed: int, seconds: int, trace: int, checkout: Path = ROOT) -> tuple[dict, dict]:
+    """One perfbench run in a checkout: its result object and its provenance."""
     args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc, _ = run(args + ["--trace", str(trace)])
+    proc, _ = run(args + ["--trace", str(trace)], cwd=checkout)
     if proc.returncode != 0:
-        raise SystemExit(f"perfbench {workload} seed {seed} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise SystemExit(f"perfbench {workload} seed {seed} in {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
     provenance = json.loads(lines[-2].removeprefix("provenance: "))
     return json.loads(lines[-1]), provenance
@@ -202,15 +216,92 @@ def compare(path_a: str, path_b: str) -> None:
         print(f"{name:44} {xa:12.6g} {xb:12.6g} {ratio} {iqr:>10}  {verdict}")
 
 
+def pair_verdict(other: list[float], this: list[float], better: str, bound: float) -> tuple[int, str]:
+    """The pairs this checkout won, and one metric's verdict; other[i] and this[i] ran in pair i.
+
+    A tie counts for neither side. The verdict is
+    - "gain": this checkout wins at least 9 in 10 of the pairs, and its
+      median beats the other's by more than the other's interquartile range;
+    - "worse beyond the bound": this median is worse than the other's by
+      more than bound, a fraction of the other's median;
+    - "unresolved": the other's interquartile range is wider than that
+      bound, and not every run of this checkout beats every run of the other;
+    - "within the bound": none of these.
+    """
+    sign = 1 if better == "lower" else -1
+    xs, ys = [sign * x for x in other], [sign * y for y in this]  # lower is better in these
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    gap = statistics.median(ys) - median
+    won = sum(y < x for x, y in zip(xs, ys))
+    if won >= 0.9 * len(ys) and -gap > q3 - q1:
+        return won, "gain"
+    if gap > bound * abs(median):
+        return won, "worse beyond the bound"
+    if q3 - q1 > bound * abs(median) and max(ys) >= min(xs):
+        return won, "unresolved"
+    return won, "within the bound"
+
+
+def alternate(other: Path, workload: str, pairs: int, seed: int) -> None:
+    sides = {"other": other, "this": ROOT}
+    for checkout in sides.values():
+        if not (checkout / "perfbench" / "run.py").is_file():
+            raise SystemExit(f"error: {checkout} is not the root of a mukaitwist checkout; perfbench/run.py is missing")
+    for checkout in sides.values():
+        perfbench(workload, seed, 1, 0, checkout)  # warm-up, uncounted
+    seconds = BENCHMARK["run_seconds"]
+    results: dict[str, list[dict]] = {"other": [], "this": []}
+    for k in range(pairs):
+        order = ("other", "this") if k % 2 == 0 else ("this", "other")
+        for side in order:
+            results[side].append(perfbench(workload, seed + k, seconds, 0, sides[side])[0])
+        values = {side: {name: m["value"] for name, m in results[side][-1]["metrics"].items()} for side in sides}
+        print(
+            f"pair {k + 1}, seed {seed + k}, {order[0]} first: "
+            + "; ".join(f"{name} {values['other'][name]:.6g} -> {values['this'][name]:.6g}" for name in values["this"]),
+            flush=True,
+        )
+    print(f"other = {other}, this = {ROOT}; {workload}, {pairs} pairs of {seconds} s runs")
+    print(f"{'metric':14} {'better':6} {'bound':>5} {'other median [q1, q3]':>32} {'this median':>12} {'pairs better':>12}  verdict")
+    for metric in BENCHMARK["end_to_end"]:
+        name, better = metric["name"], metric["better"]
+        if name not in results["this"][0]["metrics"]:
+            continue
+        xs, ys = ([r["metrics"][name]["value"] for r in results[side]] for side in sides)
+        q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        won, text = pair_verdict(xs, ys, better, metric["bound"])
+        print(
+            f"{name:14} {better:6} {metric['bound']:5.0%} {f'{median:.6g} [{q1:.6g}, {q3:.6g}]':>32} "
+            f"{statistics.median(ys):12.6g} {f'{won}/{pairs}':>12}  {text}"
+        )
+    bad = [
+        f"{side} checkout, seed {seed + k}: correct {r['correct']}, {r['failed']} of {r['attempted']} operations failed"
+        for side in sides
+        for k, r in enumerate(results[side])
+        if not r["correct"] or r["failed"]
+    ]
+    print(f"runs incorrect or with failed operations: {len(bad) or 'none'}")
+    for line in bad:
+        print(f"  {line}")
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description="record or compare BENCH_<pr>.json files")
+    parser = argparse.ArgumentParser(description="record or compare BENCH_<pr>.json files, or run alternating pairs")
     parser.add_argument("--pr", type=int, help="the number in the name of the record to write")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    parser.add_argument("--alternate", metavar="OTHER_CHECKOUT", help="run alternating pairs against this checkout")
+    parser.add_argument("--workload", choices=[w["name"] for w in BENCHMARK["workloads"]])
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seed", type=int, default=1, help="the first pair's seed (default 1)")
     args = parser.parse_args()
-    if args.compare:
+    if args.alternate:
+        if args.workload is None or args.pairs is None or args.pairs < 2:
+            parser.error("--alternate needs --workload W and --pairs N with N >= 2")
+        alternate(Path(args.alternate).resolve(), args.workload, args.pairs, args.seed)
+    elif args.compare:
         compare(*args.compare)
     elif args.pr is None:
-        parser.error("give --pr N to record, or --compare A B")
+        parser.error("give --pr N to record, --compare A B, or --alternate OTHER_CHECKOUT")
     else:
         record(args.pr)
     return 0

@@ -6,6 +6,9 @@ It does what a frozen dataclass would, without importing dataclasses (and
 with it inspect) at start-up. A subclass lists its constructor's arguments,
 in order, in _fields, and sets each field once: through Record.__init__, or
 through set_field where a constructor or a lazy cache writes its own slots.
+Every record declares its slots (`__slots__ = _fields = (...)` where it
+keeps nothing but its fields), so no instance has a __dict__ through which
+a write could pass Record.__setattr__.
 Equality and the hash read _key(), all fields by default; equality holds
 only between instances of the same class. Pickle and copy rebuild a value
 through its constructor from its field values, so a copy passes the same

@@ -72,7 +72,7 @@ def _fold_factor(chain: list[int], x: int) -> None:
 class FGAbelianGroup(Record):
     """A finitely generated abelian group in invariant-factor form; immutable."""
 
-    _fields = ("free_rank", "torsion")
+    __slots__ = _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
         if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
@@ -201,7 +201,7 @@ def _group_from_dict(data, field: str) -> FGAbelianGroup:
 class CohomologySpec(Record):
     """Integral cohomology of a compact surface plus a torsion twist class in H^3; immutable."""
 
-    _fields = ("h0", "h1", "h2", "h3", "h4", "alpha")
+    __slots__ = _fields = ("h0", "h1", "h2", "h3", "h4", "alpha")
 
     def __init__(
         self,
@@ -299,7 +299,7 @@ class E4Page(Record):
     multiplier k.
     """
 
-    _fields = ("h0_multiplier", "columns")
+    __slots__ = _fields = ("h0_multiplier", "columns")
 
     def __init__(
         self,

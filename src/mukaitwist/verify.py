@@ -9,31 +9,37 @@ TrialConfig and each check's outcome a VerificationReport. Both are
 immutable records on one base (mukaitwist._record.Record); two reports are
 equal when all but their elapsed_s is, and a report has no hash.
 
-Each check is a numbered set of cases, one result per case: None, or that
-case's counterexample. A sampled check's cases are
-_<check>_results(cfg, indices), which yields one result per index in the
-order given; the square check numbers its random trials first and the
-cases of its exhaustive sweep after them. One function, _run_cases, runs
-every check, on one process or several (the `jobs` keyword, 1 by
-default; it is an execution option, so it is in no config and no report):
+Each check is a numbered set of cases, and a case function gives each
+case's result: case(index) returns None, or that index's counterexample.
+A sampled check's case function is _square_case(cfg, index),
+_characteristic_case(cfg, trial) or _phi_case(cfg, word_length, trial), so
+any case replays by one call; the square check numbers its random trials
+first and the cases of its exhaustive sweep after them. One function,
+_run_cases, runs every check, on one process or several (the `jobs`
+keyword, 1 by default; it is an execution option, so it is in no config
+and no report). The parent and every worker run one loop, _first_failure,
+over their own indices:
 
 * dealing -- with w = min(jobs, count) workers, worker k evaluates indices
   k, k + w, k + 2w, ... in order and stops at its first counterexample.
   Round-robin dealing keeps the shares even where cheap sweep cases follow
   dearer trials. The parent is worker 0 and forks the other w - 1 with
-  os.fork, after it has evaluated index 0: that first case builds every
-  cache the cases read (the kernel basis of T - 1, the compiled Gram forms,
-  and for phi the generator pool), so no worker builds it again, and if it
-  fails no worker is forked. The pool is one read-only view of the
-  harvested array, so a worker reads it and builds nothing per letter. A
-  forked child holds only the forking thread, so pass jobs > 1 only from
-  a process that runs no other threads (the CLI runs none).
+  os.fork, after it has evaluated index 0: that first case builds the
+  caches the cases read (the compiled Gram forms, and for phi the
+  generator pool), so no worker builds them again, and if it fails no
+  worker is forked. The characteristic check builds the kernel basis of
+  T - 1 before its cases, so a run of no trials builds it too. The pool is
+  one read-only view of the harvested bytes, so a worker reads it and
+  builds nothing per letter. A forked child holds only the forking thread,
+  so pass jobs > 1 only from a process that runs no other threads (the CLI
+  runs none).
 * early stop -- with w > 1 the workers share one 8-byte word (an
-  anonymous mmap), the lowest failing index found so far, count at first.
-  Before each index a worker stops if the index is above it; a worker
-  that fails below it writes its own index there. Only real failing
-  indices are written, so a race can make a worker stop later but never
-  skip an index below the lowest failure.
+  anonymous mmap), the lowest failing index found so far, count at first;
+  with w = 1 the bound is a one-item list. Before each index a worker
+  stops if the index is above it; a worker that fails below it writes its
+  own index there. Only real failing indices are written, so a race can
+  make a worker stop later but never skip an index below the lowest
+  failure.
 * merge -- each worker sends its first (index, counterexample), or None,
   through a pipe (marshal) and leaves by os._exit. The parent keeps the
   lowest failing index, and trials_run is that index + 1, or the case
@@ -81,7 +87,7 @@ import os
 import time
 from collections.abc import Sequence
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice, takewhile
+from itertools import combinations, islice
 from operator import add, neg
 
 from ._record import Record, require_int
@@ -116,7 +122,7 @@ EXHAUSTIVE_ENTRY_BOUND = 2  # low-support exhaustive pass scans entries in [-2, 
 class TrialConfig(Record):
     """Deterministic sampling configuration for a verification run; immutable."""
 
-    _fields = ("trials", "seed", "coord_bound")
+    __slots__ = _fields = ("trials", "seed", "coord_bound")
 
     def __init__(self, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, coord_bound: int = DEFAULT_COORD_BOUND):
         for field, value in (("trials", trials), ("seed", seed), ("coord_bound", coord_bound)):
@@ -144,7 +150,7 @@ class VerificationReport(Record):
     counterexample is a dict.
     """
 
-    _fields = ("check_name", "trials_run", "counterexample", "elapsed_s")
+    __slots__ = _fields = ("check_name", "trials_run", "counterexample", "elapsed_s")
 
     def __init__(self, check_name: str, trials_run: int, counterexample: dict | None, elapsed_s: float):
         super().__init__(check_name, trials_run, counterexample, elapsed_s)
@@ -179,24 +185,24 @@ def _shared_bound(count: int) -> memoryview:
     return bound
 
 
-def _below(indices, bound: memoryview | None):
-    """indices, up to the first one above the shared bound; all of them with no bound."""
-    return indices if bound is None else takewhile(lambda index: index <= bound[0], indices)
+def _first_failure(case, indices, bound) -> tuple[int, dict] | None:
+    """The first index of indices whose case fails, with its counterexample; or None.
 
-
-def _first_failure(results, indices, bound: memoryview | None) -> tuple[int, dict] | None:
-    """The first (index, counterexample) of results, one per index, or None.
-
-    A failure below the shared bound lowers it, so that every worker stops
-    before its next index above it.
+    It stops before an index above the shared bound, and a failure below the
+    bound lowers it, so that every worker stops before its next index above it.
     """
-    failure = next(((index, ce) for ce, index in zip(results, indices) if ce is not None), None)
-    if failure is not None and bound is not None and failure[0] < bound[0]:
-        bound[0] = failure[0]
-    return failure
+    for index in indices:
+        if index > bound[0]:
+            break
+        counterexample = case(index)
+        if counterexample is not None:
+            if index < bound[0]:
+                bound[0] = index
+            return index, counterexample
+    return None
 
 
-def _fork_worker(cases, indices: range, bound: memoryview) -> tuple[int, int]:
+def _fork_worker(case, indices: range, bound: memoryview) -> tuple[int, int]:
     """Fork a worker over indices; return its pid and the read end of its pipe.
 
     The worker sends (True, first failure) or, if it raised, (False, the
@@ -216,7 +222,7 @@ def _fork_worker(cases, indices: range, bound: memoryview) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            payload = marshal.dumps((True, _first_failure(cases(_below(indices, bound)), indices, bound)))
+            payload = marshal.dumps((True, _first_failure(case, indices, bound)))
         except BaseException as exc:
             import traceback  # loaded by a worker that failed, never by the parent
 
@@ -240,10 +246,10 @@ def _receive(read_fd: int, worker: int) -> tuple[int, dict] | None:
     return result[0]
 
 
-def _run_cases(name: str, cases, count: int, jobs: int = 1) -> VerificationReport:
-    """Run cases 0..count-1 on min(jobs, count) workers; report the lowest failing index.
+def _run_cases(name: str, case, count: int, jobs: int = 1) -> VerificationReport:
+    """Run case(0), ..., case(count - 1) on min(jobs, count) workers; report the lowest failing index.
 
-    cases(indices) yields None or a counterexample per index; the report carries the first.
+    case(index) returns None or that index's counterexample; the report carries the first.
     """
     require_int("jobs", jobs)
     if jobs < 1:
@@ -251,18 +257,15 @@ def _run_cases(name: str, cases, count: int, jobs: int = 1) -> VerificationRepor
     started = time.perf_counter()
     workers = max(1, min(jobs, count))
     own = range(0, count, workers)
-    bound = _shared_bound(count) if workers > 1 else None
-    results = cases(_below(own, bound))
+    bound = _shared_bound(count) if workers > 1 else [count]
     # Index 0 runs before any fork and builds the caches the cases share.
-    # With no cases this still runs the check's set-up, as a serial run does.
-    head = list(islice(results, 1))
-    # A counterexample at index 0 is the lowest there can be: fork no worker.
-    forked = range(1, workers) if head == [None] else ()
+    first = _first_failure(case, own[:1], bound)
     children: list[tuple[int, int]] = []
     try:
-        for k in forked:
-            children.append(_fork_worker(cases, range(k, count, workers), bound))
-        failures = [_first_failure(chain(head, results), own, bound)]
+        # A counterexample at index 0 is the lowest there can be: fork no worker.
+        for k in range(1, workers) if first is None else ():
+            children.append(_fork_worker(case, range(k, count, workers), bound))
+        failures = [first or _first_failure(case, own[1:], bound)]
         failures += [_receive(read_fd, k) for k, (_, read_fd) in enumerate(children, 1)]
     except BaseException:
         import signal  # loaded only on this path
@@ -336,24 +339,23 @@ def _sweep_class(k: int) -> tuple[tuple[int, ...], tuple[int, int]]:
     return tuple(ell), (i, j)
 
 
-def _square_results(cfg: TrialConfig, indices):
+def _square_case(cfg: TrialConfig, index: int) -> dict | None:
     """Index i < trials is random trial i; index trials + k is sweep case k."""
-    for index in indices:
-        if index < cfg.trials:
-            ell = substream(cfg.seed, index).integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK)
-            source = f"random trial {index}"
-        else:
-            ell, (i, j) = _sweep_class(index - cfg.trials)
-            source = f"exhaustive pair ({i}, {j})"
-        counterexample = _square_congruence_case(ell)
-        if counterexample is not None:
-            counterexample["source"] = source
-        yield counterexample
+    if index < cfg.trials:
+        ell = substream(cfg.seed, index).integers(-cfg.coord_bound, cfg.coord_bound, H2_RANK)
+        source = f"random trial {index}"
+    else:
+        ell, (i, j) = _sweep_class(index - cfg.trials)
+        source = f"exhaustive pair ({i}, {j})"
+    counterexample = _square_congruence_case(ell)
+    if counterexample is not None:
+        counterexample["source"] = source
+    return counterexample
 
 
 def verify_square_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """(l + Tl)^2 = 0 mod 4 on random degree-2 classes plus a low-support sweep."""
-    return _run_cases("square-congruence", partial(_square_results, cfg), cfg.trials + SWEEP_CASES, jobs)
+    return _run_cases("square-congruence", partial(_square_case, cfg), cfg.trials + SWEEP_CASES, jobs)
 
 
 @lru_cache(maxsize=None)
@@ -367,69 +369,67 @@ def _invariant_from_parameters(a: int, x: tuple[int, ...], z1: tuple[int, ...], 
     return (2 * a, *x, *x, *z1, *z1, a, a, s)
 
 
-def _characteristic_results(cfg: TrialConfig, trials):
+def _characteristic_case(cfg: TrialConfig, trial: int) -> dict | None:
+    """Trial `trial` of both samplers: None, or the first failing sampler's counterexample."""
     minus_e8 = standard_lattice("minus_e8")
     u_lat = standard_lattice("u")
     basis, _ = _invariant_basis()
-    n_basis = basis.cols
     b = cfg.coord_bound
-    for trial in trials:
-        # Every draw of the trial comes from [-b, b], so one call draws them
-        # all: the values are those of one call per parameter, in order.
-        draws = substream(cfg.seed, trial).integers(-b, b, 12 + n_basis)
+    # Every draw of the trial comes from [-b, b], so one call draws them
+    # all: the values are those of one call per parameter, in order.
+    draws = substream(cfg.seed, trial).integers(-b, b, 12 + basis.cols)
 
-        # Sampler (i): closed-form parametrization.
-        a, x, z1, s = draws[0], draws[1:9], draws[9:11], draws[11]
-        v = _invariant_from_parameters(a, x, z1, s)
-        pair = _pairing(_POINT, v)
-        vsq = _pairing(v, v)
-        closed_pair = -2 * a
-        closed_sq = 2 * minus_e8.norm(x) + 2 * u_lat.norm(z1) + 2 * a * a - 4 * a * s
-        problems = []
-        if twisted_involution_coords(v) != v:
-            problems.append("parametrized vector is not T-invariant")
-        if pair != closed_pair:
-            problems.append("pairing disagrees with closed form -2a")
-        if vsq != closed_sq:
-            problems.append("square disagrees with closed form")
-        if (pair - vsq) % 4 != 0:
-            problems.append("congruence fails")
-        if problems:
-            yield {
-                "source": f"parametrized sampler, trial {trial}",
-                "parameters": {"a": a, "x": list(x), "z1": list(z1), "s": s},
-                "pairing": pair,
-                "square": vsq,
-                "problems": problems,
-            }
-            continue
+    # Sampler (i): closed-form parametrization.
+    a, x, z1, s = draws[0], draws[1:9], draws[9:11], draws[11]
+    v = _invariant_from_parameters(a, x, z1, s)
+    pair = _pairing(_POINT, v)
+    vsq = _pairing(v, v)
+    closed_pair = -2 * a
+    closed_sq = 2 * minus_e8.norm(x) + 2 * u_lat.norm(z1) + 2 * a * a - 4 * a * s
+    problems = []
+    if twisted_involution_coords(v) != v:
+        problems.append("parametrized vector is not T-invariant")
+    if pair != closed_pair:
+        problems.append("pairing disagrees with closed form -2a")
+    if vsq != closed_sq:
+        problems.append("square disagrees with closed form")
+    if (pair - vsq) % 4 != 0:
+        problems.append("congruence fails")
+    if problems:
+        return {
+            "source": f"parametrized sampler, trial {trial}",
+            "parameters": {"a": a, "x": list(x), "z1": list(z1), "s": s},
+            "pairing": pair,
+            "square": vsq,
+            "problems": problems,
+        }
 
-        # Sampler (ii): random combination of the computed kernel basis of T - 1.
-        coeffs = draws[12:]
-        w = basis.mul_vec(coeffs)
-        pair_w = _pairing(_POINT, w)
-        wsq = _pairing(w, w)
-        problems = []
-        if twisted_involution_coords(w) != w:
-            problems.append("kernel-basis vector is not T-invariant")
-        if (pair_w - wsq) % 4 != 0:
-            problems.append("congruence fails")
-        if problems:
-            yield {
-                "source": f"kernel-basis sampler, trial {trial}",
-                "coefficients": list(coeffs),
-                "vector": list(w),
-                "pairing": pair_w,
-                "square": wsq,
-                "problems": problems,
-            }
-            continue
-        yield None
+    # Sampler (ii): random combination of the computed kernel basis of T - 1.
+    coeffs = draws[12:]
+    w = basis.mul_vec(coeffs)
+    pair_w = _pairing(_POINT, w)
+    wsq = _pairing(w, w)
+    problems = []
+    if twisted_involution_coords(w) != w:
+        problems.append("kernel-basis vector is not T-invariant")
+    if (pair_w - wsq) % 4 != 0:
+        problems.append("congruence fails")
+    if problems:
+        return {
+            "source": f"kernel-basis sampler, trial {trial}",
+            "coefficients": list(coeffs),
+            "vector": list(w),
+            "pairing": pair_w,
+            "square": wsq,
+            "problems": problems,
+        }
+    return None
 
 
 def verify_characteristic_congruence(cfg: TrialConfig, jobs: int = 1) -> VerificationReport:
     """<(0,0,1), v> = v^2 mod 4 on T-invariant v from two independent samplers."""
-    return _run_cases("characteristic-congruence", partial(_characteristic_results, cfg), cfg.trials, jobs)
+    _invariant_basis()  # built before any case or fork, and by a run of no trials too
+    return _run_cases("characteristic-congruence", partial(_characteristic_case, cfg), cfg.trials, jobs)
 
 
 def _invariant_lattice_results():
@@ -468,33 +468,35 @@ def verify_invariant_lattice() -> VerificationReport:
     (det +-1); half form odd (an odd diagonal entry); (0,0,1) lies in the
     invariant lattice and is characteristic for the half form.
     """
-    # Six steps, in order and in the parent: each step reads the ones before it.
-    return _run_cases("invariant-lattice", lambda steps: _invariant_lattice_results(), 6)
+    # Six steps, in order and in the parent: each step reads the ones before
+    # it, so the steps are one generator and case i takes its next result.
+    steps = _invariant_lattice_results()
+    return _run_cases("invariant-lattice", lambda step: next(steps), 6)
 
 
 _LETTER_ENTRIES = 2 * FULL_RANK  # a reflection's w, then its dual
 
 
 class _Pool(Record):
-    """T, -1 and the harvested reflections, as one read-only view of signed bytes.
+    """T, -1 and the harvested reflections, as one view of immutable signed bytes.
 
     Letter 0 is T, letter 1 is -1, and letter i >= 2 the reflection in
     w_{i - 2}, whose w and dual 2 G w / w^2 fill the _LETTER_ENTRIES signed
-    bytes from (i - 2) * _LETTER_ENTRIES on. entries is a read-only view,
-    without a copy, of the buffer given (the harvest's array, or a pickle's
-    bytes), so forked workers share a pool that refuses item assignment. A
-    view has no hash, so a pool has none.
+    bytes from (i - 2) * _LETTER_ENTRIES on. entries is a view of
+    bytes(entries given): the harvest's or a pickle's bytes object itself,
+    not a copy (an array given is copied). So forked workers share a pool
+    that refuses item assignment, through the view and through its obj
+    alike. A view has no hash, so a pool has none.
     """
 
-    __slots__ = ("entries",)
-    _fields = ("entries",)
+    __slots__ = _fields = ("entries",)
     __hash__ = None
 
     def __init__(self, entries):
-        super().__init__(memoryview(entries).cast("b").toreadonly())
+        super().__init__(memoryview(bytes(entries)).cast("b"))
 
     def __reduce__(self):
-        return type(self), (self.entries.tobytes(),)
+        return type(self), (self.entries.obj,)
 
     def __len__(self) -> int:
         return 2 + len(self.entries) // _LETTER_ENTRIES
@@ -514,27 +516,30 @@ def _generator_pool() -> _Pool:
     the upper half is checked once, here: T w is compared with +-w by
     twisted_involution_coords, and reflection_dual checks w^2 = +-2 in the
     full lattice and returns the dual. Each w and its dual are kept, in
-    order, as signed bytes in one array('b'), which raises OverflowError on
-    an entry it cannot hold (see _Pool). A reflection in such a w commutes
-    with T, so every word in the pool does. This pool generates a proper
-    subgroup of the full equivariant orthogonal group; it is a test family,
-    not an enumeration.
+    order, as signed bytes in the scan's own array('b'), which raises
+    OverflowError on an entry it cannot hold; the four scans' bytes are
+    joined once, after the last scan (see _Pool). A reflection in such a w
+    commutes with T, so every word in the pool does. This pool generates a
+    proper subgroup of the full equivariant orthogonal group; it is a test
+    family, not an enumeration.
     """
     from array import array  # loaded only by a run that harvests
 
     lat = full_lattice()
-    entries = array("b")
+    scans = []
     for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, twisted_involution_matrix(), -1))):
         sub = Lattice(gram)
         for target in (2, -2):
             hits = short_vectors(sub, target, 1)
+            entries = array("b")
             for v in islice(hits, len(hits) // 2, None):  # leading entry > 0
                 w = basis.mul_vec(v)
                 if twisted_involution_coords(w) != (w if sign == 1 else tuple(map(neg, w))):
                     raise RuntimeError(f"harvested vector is not a {sign:+d}-eigenvector of T")
                 entries.fromlist([*w, *reflection_dual(lat, w)])
-            del hits  # free this scan's list before the next scan builds its own
-    return _Pool(entries)
+            del hits  # free this scan's list before its bytes are copied and the next scan builds its own
+            scans.append(entries.tobytes())
+    return _Pool(b"".join(scans))
 
 
 def _sample_word(seed: int, word_length: int) -> tuple[int, ...]:
@@ -588,50 +593,46 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
 STRENGTHENED_PAIRINGS_PER_TRIAL = 10
 
 
-def _phi_results(cfg: TrialConfig, trials, word_length: int):
-    for trial in trials:
-        rng = substream(cfg.seed, trial)
-        length = rng.below(word_length + 1)
-        word_seed = rng.next_u64()
-        image = _apply_word(_sample_word(word_seed, length), _POINT)
-        # An isometry keeps (0,0,1) isotropic; a letter that is none fails here.
-        square = _pairing(image, image)
-        if square:
-            yield {
-                "source": f"trial {trial}",
+def _phi_case(cfg: TrialConfig, word_length: int, trial: int) -> dict | None:
+    """Phi trial `trial`, a word of length at most word_length: None, or its counterexample."""
+    rng = substream(cfg.seed, trial)
+    length = rng.below(word_length + 1)
+    word_seed = rng.next_u64()
+    image = _apply_word(_sample_word(word_seed, length), _POINT)
+    # An isometry keeps (0,0,1) isotropic; a letter that is none fails here.
+    square = _pairing(image, image)
+    if square:
+        return {
+            "source": f"trial {trial}",
+            "word_seed": word_seed,
+            "word_length": length,
+            "image": list(image),
+            "square": square,
+        }
+    degree2 = image[1:23]
+    if any(c % 2 for c in degree2):
+        return {
+            "source": f"trial {trial}",
+            "word_seed": word_seed,
+            "word_length": length,
+            "image": list(image),
+            "odd_degree2_indices": [i for i, c in enumerate(degree2) if c % 2],
+        }
+    coords = rng.integers(-cfg.coord_bound, cfg.coord_bound, STRENGTHENED_PAIRINGS_PER_TRIAL * H2_RANK)
+    for k in range(STRENGTHENED_PAIRINGS_PER_TRIAL):
+        ell = coords[k * H2_RANK : (k + 1) * H2_RANK]
+        pairing = _pairing(image, _doubled(ell))
+        if pairing % 4:
+            return {
+                "source": f"trial {trial}, pairing {k}",
                 "word_seed": word_seed,
                 "word_length": length,
                 "image": list(image),
-                "square": square,
+                "ell": list(ell),
+                "pairing": pairing,
+                "pairing_mod_4": pairing % 4,
             }
-            continue
-        degree2 = image[1:23]
-        if any(c % 2 for c in degree2):
-            yield {
-                "source": f"trial {trial}",
-                "word_seed": word_seed,
-                "word_length": length,
-                "image": list(image),
-                "odd_degree2_indices": [i for i, c in enumerate(degree2) if c % 2],
-            }
-            continue
-        coords = rng.integers(-cfg.coord_bound, cfg.coord_bound, STRENGTHENED_PAIRINGS_PER_TRIAL * H2_RANK)
-        for k in range(STRENGTHENED_PAIRINGS_PER_TRIAL):
-            ell = coords[k * H2_RANK : (k + 1) * H2_RANK]
-            pairing = _pairing(image, _doubled(ell))
-            if pairing % 4:
-                yield {
-                    "source": f"trial {trial}, pairing {k}",
-                    "word_seed": word_seed,
-                    "word_length": length,
-                    "image": list(image),
-                    "ell": list(ell),
-                    "pairing": pairing,
-                    "pairing_mod_4": pairing % 4,
-                }
-                break
-        else:
-            yield None
+    return None
 
 
 def verify_phi_integrality(
@@ -643,8 +644,7 @@ def verify_phi_integrality(
     STRENGTHENED_PAIRINGS_PER_TRIAL random degree-2 classes per word.
     """
     check_word_length(word_length)
-    cases = partial(_phi_results, cfg, word_length=word_length)
-    return _run_cases("phi-integrality", cases, cfg.trials, jobs)
+    return _run_cases("phi-integrality", partial(_phi_case, cfg, word_length), cfg.trials, jobs)
 
 
 def run_claims_suite(cfg: TrialConfig, jobs: int = 1) -> list[VerificationReport]:

@@ -111,6 +111,21 @@ def test_one_private_base():
     assert "Record" not in dir(mukaitwist)
 
 
+def test_no_record_keeps_an_instance_dict():
+    # A field in an instance __dict__ could be rewritten past Record.__setattr__.
+    from mukaitwist._record import Record
+
+    subclasses, found = [Record], set()
+    while subclasses:
+        cls = subclasses.pop()
+        found.add(cls)
+        subclasses += cls.__subclasses__()
+    found.discard(Record)
+    assert found == {type(record) for record in RECORDS}
+    assert [cls.__name__ for cls in found if cls.__dictoffset__] == []
+    assert not any(hasattr(record, "__dict__") for record in RECORDS)
+
+
 def test_assignment_cannot_bypass_the_checks():
     # alpha (7,) is no element of h3 = Z/2, and (4, 2) is no divisibility chain.
     spec = CohomologySpec.enriques(twisted=True)

@@ -380,6 +380,14 @@ class TestLeanPool:
             entries[0] = first + 1
         assert entries[0] == first
 
+    def test_the_viewed_buffer_refuses_item_assignment(self):
+        # The view's obj is the buffer the letters read, for the harvest and for a given array alike.
+        for pool in (verify._generator_pool(), _pool_of(TestPhiFailureReporting.BREAKING)):
+            first = pool.entries[0]
+            with pytest.raises(TypeError):
+                pool.entries.obj[0] = first + 1
+            assert pool.entries[0] == first
+
     def test_store_refuses_an_entry_it_cannot_hold(self, monkeypatch):
         # 200 e_0 in basis coordinates is 200 times a T-fixed column, so it
         # passes the T check; with the square check stubbed, the byte array
@@ -446,7 +454,8 @@ class TestTrialDraws:
 
     def test_parametrized_sampler_draws(self, monkeypatch):
         _shift_twist(monkeypatch, lambda x: True)
-        for trial, ce in enumerate(verify._characteristic_results(self.CFG, range(3))):
+        for trial in range(3):
+            ce = verify._characteristic_case(self.CFG, trial)
             rng = substream(self.CFG.seed, trial)
             a, x, z1, s = rng.integer(-50, 50), rng.integers(-50, 50, 8), rng.integers(-50, 50, 2), rng.integer(-50, 50)
             assert ce["parameters"] == {"a": a, "x": list(x), "z1": list(z1), "s": s}
@@ -456,7 +465,8 @@ class TestTrialDraws:
         # it gives sampler (ii) are not T-invariant.
         units = IntMatrix(24, 12, [int(i == j) for i in range(24) for j in range(12)])
         monkeypatch.setattr(verify, "_invariant_basis", lambda: (units, None))
-        for trial, ce in enumerate(verify._characteristic_results(self.CFG, range(3))):
+        for trial in range(3):
+            ce = verify._characteristic_case(self.CFG, trial)
             rng = substream(self.CFG.seed, trial)
             rng.integers(-50, 50, 12)  # a, x, z1 and s
             assert ce["source"] == f"kernel-basis sampler, trial {trial}"
@@ -466,7 +476,7 @@ class TestTrialDraws:
         calls = []
         # The last pairing of trial 0 is off by one; its first is the isotropy check.
         _shift_pairing(monkeypatch, lambda: len(calls.append(0) or calls) == 11)
-        (ce,) = verify._phi_results(self.CFG, [0], 4)
+        ce = verify._phi_case(self.CFG, 4, 0)
         rng = substream(self.CFG.seed, 0)
         length, word_seed = rng.below(5), rng.next_u64()
         ells = [rng.integers(-50, 50, 22) for _ in range(verify.STRENGTHENED_PAIRINGS_PER_TRIAL)]
@@ -847,10 +857,10 @@ def _break_phi(monkeypatch):
 
 
 ORDER_CASES = {
-    "square": (verify._square_results, verify_square_congruence, _break_square),
-    "characteristic": (verify._characteristic_results, verify_characteristic_congruence, _break_characteristic),
+    "square": (verify._square_case, verify_square_congruence, _break_square),
+    "characteristic": (verify._characteristic_case, verify_characteristic_congruence, _break_characteristic),
     "phi": (
-        lambda cfg, trials: verify._phi_results(cfg, trials, 4),
+        lambda cfg, trial: verify._phi_case(cfg, 4, trial),
         lambda cfg: verify_phi_integrality(cfg, word_length=4),
         _break_phi,
     ),
@@ -858,13 +868,11 @@ ORDER_CASES = {
 ORDER_CFG = TrialConfig(trials=40, seed=77, coord_bound=50)
 
 
-def _results_by_index(results, chunks) -> dict:
+def _results_by_index(case, chunks) -> dict:
     """Each chunk of trial indices evaluated on its own, last chunk first."""
     out = {}
     for chunk in reversed(chunks):
-        chunk_results = list(results(ORDER_CFG, chunk))
-        assert len(chunk_results) == len(chunk)
-        out.update(zip(chunk, chunk_results))
+        out.update((index, case(ORDER_CFG, index)) for index in chunk)
     return out
 
 
@@ -911,6 +919,13 @@ class TestOrderIndependence:
             )
             assert merged == serial
             assert json.dumps(merged.check_json()) == json.dumps(serial.check_json())
+
+    def test_the_first_failure_replays_by_one_call(self, monkeypatch, check):
+        case, run_serially, breaker = ORDER_CASES[check]
+        breaker(monkeypatch)
+        report = run_serially(ORDER_CFG)
+        assert not report.passed
+        assert case(ORDER_CFG, report.trials_run - 1) == report.counterexample
 
 
 def _fail_trial(monkeypatch, k: int, error: type[BaseException] | None = None) -> None:
