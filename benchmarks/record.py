@@ -1,10 +1,9 @@
-"""Record the benchmark of one checkout as BENCH_<pr>.json, compare two records,
-or run one workload in this checkout and another in alternating pairs.
+"""Record the benchmark of one checkout as BENCH_<pr>.json, or run one workload
+in this checkout and another in alternating pairs.
 
 Run from the root of a checkout:
 
     python3 benchmarks/record.py --pr N
-    python3 benchmarks/record.py --compare BENCH_A.json BENCH_B.json
     python3 benchmarks/record.py --alternate OTHER_CHECKOUT --workload W --pairs N [--seed S]
 
 A record holds, for the checkout as it is:
@@ -21,26 +20,32 @@ A record holds, for the checkout as it is:
 - the commit (and whether the tree differs from it), the machine, the core
   count, the Python version and KERNEL_BACKEND.
 
+A record lays the layers out; it is no evidence of a change, since two
+records made one after the other also differ by the host's drift. Evidence
+is --alternate.
+
 Every child is launched with PYTHONDONTWRITEBYTECODE removed from its
 environment, so perfbench's warm-up launch writes the bytecode and no timed
 process compiles the package from source.
 
---compare prints one row per metric the two records share: A's median, B's,
-the ratio B / A, A's interquartile range, and a verdict. A difference smaller
-than A's interquartile range is marked noise; single-sample metrics (the
-per-layer ones and the Tier-1 wall) carry no verdict.
-
---alternate runs `perfbench/run.py --workload W --trace 0 --seconds
-<run_seconds>` in OTHER_CHECKOUT (the parent, say) and in this checkout, one
-after the other, for N pairs with seeds S, S + 1, ... (S is 1 by default).
-The other checkout runs first in the first pair, and the first side switches
-on each pair. Before the pairs each side runs once for 1 s, uncounted, so
-that no counted run is the first in its checkout (a cold checkout reads a
-higher peak_rss_mib). It prints every pair, then for each end-to-end metric
-the other checkout's median and quartiles, this checkout's median, how many
+--alternate first compares the bytes of BENCHMARK.json and of every file
+under perfbench/ (bytecode caches aside) in the two checkouts; if any
+differ, it names the first and exits 2 before any run. It then runs
+`perfbench/run.py --workload W --trace 0 --seconds <run_seconds>` in
+OTHER_CHECKOUT (the parent, say) and in this checkout, one after the other,
+for N pairs with seeds S, S + 1, ... (S is 1 by default). The other
+checkout runs first in the first pair, and the first side switches on each
+pair. Before the pairs each side runs once for 1 s, uncounted, so that no
+counted run is the first in its checkout (a cold checkout reads a higher
+peak_rss_mib). It prints every pair, then for each end-to-end metric the
+other checkout's median and quartiles, this checkout's median, how many
 pairs this checkout won (ties count for neither), and a verdict by
-BENCHMARK.json's `better` and `bound` (see pair_verdict), then every run
-that was incorrect or had failed operations.
+BENCHMARK.json's `better` and `bound` (see pair_verdict). After the pairs
+each side runs once with --trace 1 at seed S for TRACED_SECONDS (1 s), the
+other first, and every per-layer metric whose unit is `count` gets a row:
+the other side's value, this side's, and `equal` or `differs`. Last it
+lists every run, traced ones too, that was incorrect or had failed
+operations.
 """
 from __future__ import annotations
 
@@ -63,6 +68,8 @@ VERIFY_COMMANDS = {"verify_claims_s": ["verify", "claims"], "verify_phi_s": ["ve
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0"]
 SLOW_TEST_S = 0.5  # Tier-1 tests at least this slow get their own row
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+# A count repeats exactly for a fixed seed and length, so one short traced run per side is enough.
+TRACED_SECONDS = 1
 
 
 def run(args: list[str], env: dict | None = None, cwd: Path = ROOT) -> tuple[subprocess.CompletedProcess, float]:
@@ -179,43 +186,6 @@ def record(pr: int) -> None:
     print(f"wrote {path.name}")
 
 
-def metrics(doc: dict) -> dict[str, dict]:
-    """Every metric of a record by a flat name, as a summary (or a single value)."""
-    out = {}
-    for workload, w in doc["workloads"].items():
-        for name, m in w["end_to_end"].items():
-            out[f"{workload}.{name}"] = m
-        for name, m in w["per_layer"].items():
-            out[f"{workload}.{name}"] = {"median": m["value"]}
-    out.update(doc["verify"])
-    out["tier1.wall_s"] = {"median": doc["tier1"]["wall_s"]}
-    return out
-
-
-def compare(path_a: str, path_b: str) -> None:
-    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
-    ma, mb = metrics(a), metrics(b)
-    print(f"A = {path_a} ({a['commit'][:12]}), B = {path_b} ({b['commit'][:12]})")
-    print(f"{'metric':44} {'A median':>12} {'B median':>12} {'B/A':>7} {'A IQR':>10}  verdict")
-    for name in ma:
-        if name not in mb:
-            continue
-        xa, xb = ma[name]["median"], mb[name]["median"]
-        ratio = f"{xb / xa:7.3f}" if xa else "      -"
-        if "q1" not in ma[name]:
-            iqr, verdict = "", ""
-        else:
-            spread = ma[name]["q3"] - ma[name]["q1"]
-            iqr = f"{spread:10.4g}"
-            lower_is_better = better.get(name.split(".", 1)[-1], "lower") == "lower"
-            if abs(xb - xa) <= spread:
-                verdict = "noise"
-            else:
-                verdict = "better" if (xb < xa) == lower_is_better else "worse"
-        print(f"{name:44} {xa:12.6g} {xb:12.6g} {ratio} {iqr:>10}  {verdict}")
-
-
 def pair_verdict(other: list[float], this: list[float], better: str, bound: float) -> tuple[int, str]:
     """The pairs this checkout won, and one metric's verdict; other[i] and this[i] ran in pair i.
 
@@ -242,11 +212,22 @@ def pair_verdict(other: list[float], this: list[float], better: str, bound: floa
     return won, "within the bound"
 
 
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """BENCHMARK.json and every file under perfbench/ but bytecode caches, by their path in the checkout."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    names = {path: path.relative_to(checkout) for path in paths if path.is_file()}
+    return {name.as_posix(): path.read_bytes() for path, name in names.items() if "__pycache__" not in name.parts}
+
+
 def alternate(other: Path, workload: str, pairs: int, seed: int) -> None:
     sides = {"other": other, "this": ROOT}
-    for checkout in sides.values():
-        if not (checkout / "perfbench" / "run.py").is_file():
-            raise SystemExit(f"error: {checkout} is not the root of a mukaitwist checkout; perfbench/run.py is missing")
+    mine, theirs = benchmark_files(ROOT), benchmark_files(other)
+    if "perfbench/run.py" not in mine:
+        raise SystemExit(f"error: {ROOT} is not the root of a mukaitwist checkout; perfbench/run.py is missing")
+    differing = sorted(name for name in mine.keys() | theirs.keys() if mine.get(name) != theirs.get(name))
+    if differing:
+        print(f"error: {other} and {ROOT} hold different benchmarks; {differing[0]} differs", file=sys.stderr)
+        raise SystemExit(2)
     for checkout in sides.values():
         perfbench(workload, seed, 1, 0, checkout)  # warm-up, uncounted
     seconds = BENCHMARK["run_seconds"]
@@ -261,6 +242,7 @@ def alternate(other: Path, workload: str, pairs: int, seed: int) -> None:
             + "; ".join(f"{name} {values['other'][name]:.6g} -> {values['this'][name]:.6g}" for name in values["this"]),
             flush=True,
         )
+    traced = {side: perfbench(workload, seed, TRACED_SECONDS, 1, checkout)[0] for side, checkout in sides.items()}
     print(f"other = {other}, this = {ROOT}; {workload}, {pairs} pairs of {seconds} s runs")
     print(f"{'metric':14} {'better':6} {'bound':>5} {'other median [q1, q3]':>32} {'this median':>12} {'pairs better':>12}  verdict")
     for metric in BENCHMARK["end_to_end"]:
@@ -274,10 +256,17 @@ def alternate(other: Path, workload: str, pairs: int, seed: int) -> None:
             f"{name:14} {better:6} {metric['bound']:5.0%} {f'{median:.6g} [{q1:.6g}, {q3:.6g}]':>32} "
             f"{statistics.median(ys):12.6g} {f'{won}/{pairs}':>12}  {text}"
         )
+    print(f"counts of one --trace 1 run per side, seed {seed}, {TRACED_SECONDS} s")
+    print(f"{'metric':32} {'other':>12} {'this':>12}")
+    for name, m in traced["this"]["metrics"].items():
+        if m["unit"] == "count":
+            x, y = traced["other"]["metrics"][name]["value"], m["value"]
+            print(f"{name:32} {x:12} {y:12}  {'equal' if x == y else 'differs'}")
+    runs = [(f"seed {seed + k}", side, r) for side in sides for k, r in enumerate(results[side])]
+    runs += [(f"traced, seed {seed}", side, traced[side]) for side in sides]
     bad = [
-        f"{side} checkout, seed {seed + k}: correct {r['correct']}, {r['failed']} of {r['attempted']} operations failed"
-        for side in sides
-        for k, r in enumerate(results[side])
+        f"{side} checkout, {label}: correct {r['correct']}, {r['failed']} of {r['attempted']} operations failed"
+        for label, side, r in runs
         if not r["correct"] or r["failed"]
     ]
     print(f"runs incorrect or with failed operations: {len(bad) or 'none'}")
@@ -286,10 +275,9 @@ def alternate(other: Path, workload: str, pairs: int, seed: int) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="record or compare BENCH_<pr>.json files, or run alternating pairs")
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--pr", type=int, help="the number in the name of the record to write")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
-    parser.add_argument("--alternate", metavar="OTHER_CHECKOUT", help="run alternating pairs against this checkout")
+    parser.add_argument("--alternate", metavar="OTHER_CHECKOUT", help="the checkout to run alternating pairs against")
     parser.add_argument("--workload", choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed (default 1)")
@@ -298,10 +286,8 @@ def main() -> int:
         if args.workload is None or args.pairs is None or args.pairs < 2:
             parser.error("--alternate needs --workload W and --pairs N with N >= 2")
         alternate(Path(args.alternate).resolve(), args.workload, args.pairs, args.seed)
-    elif args.compare:
-        compare(*args.compare)
     elif args.pr is None:
-        parser.error("give --pr N to record, --compare A B, or --alternate OTHER_CHECKOUT")
+        parser.error("give --pr N to record, or --alternate OTHER_CHECKOUT")
     else:
         record(args.pr)
     return 0

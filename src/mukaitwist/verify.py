@@ -14,11 +14,13 @@ case's result: case(index) returns None, or that index's counterexample.
 A sampled check's case function is _square_case(cfg, index),
 _characteristic_case(cfg, trial) or _phi_case(cfg, word_length, trial), so
 any case replays by one call; the square check numbers its random trials
-first and the cases of its exhaustive sweep after them. One function,
-_run_cases, runs every check, on one process or several (the `jobs`
-keyword, 1 by default; it is an execution option, so it is in no config
-and no report). The parent and every worker run one loop, _first_failure,
-over their own indices:
+first and the cases of its exhaustive sweep after them. The invariant
+lattice's six steps each read the ones before, so they run serially in the
+parent, and _invariant_lattice_failure() returns the first failing step.
+One function, _run_cases, runs every sampled check, on one process or
+several (the `jobs` keyword, 1 by default; it is an execution option, so
+it is in no config and no report). The parent and every worker run one
+loop, _first_failure, over their own indices:
 
 * dealing -- with w = min(jobs, count) workers, worker k evaluates indices
   k, k + w, k + 2w, ... in order and stops at its first counterexample.
@@ -432,33 +434,31 @@ def verify_characteristic_congruence(cfg: TrialConfig, jobs: int = 1) -> Verific
     return _run_cases("characteristic-congruence", partial(_characteristic_case, cfg), cfg.trials, jobs)
 
 
-def _invariant_lattice_results():
-    """The invariant-lattice checks in order: None for a pass, else the failure."""
+def _invariant_lattice_failure() -> tuple[int, dict] | None:
+    """The first failing invariant-lattice step (0-5) with its failure, or None."""
     basis, gram = _invariant_basis()
-    wrong_rank = basis.cols != 12
-    yield {"reason": "invariant lattice has wrong rank", "rank": basis.cols} if wrong_rank else None
-    odd_gram = any(e % 2 for e in gram.flat)
-    yield {"reason": "Gram form of invariant lattice is not even"} if odd_gram else None
+    if basis.cols != 12:
+        return 0, {"reason": "invariant lattice has wrong rank", "rank": basis.cols}
+    if any(e % 2 for e in gram.flat):
+        return 1, {"reason": "Gram form of invariant lattice is not even"}
     half = IntMatrix(gram.rows, gram.cols, [e // 2 for e in gram.flat])
     half_det = determinant(half)
-    yield {"reason": "half form is not unimodular", "det": half_det} if half_det not in (1, -1) else None
-    even_half = all(half[i, i] % 2 == 0 for i in range(half.rows))
-    yield {"reason": "half form is even; expected an odd form"} if even_half else None
+    if half_det not in (1, -1):
+        return 2, {"reason": "half form is not unimodular", "det": half_det}
+    if all(half[i, i] % 2 == 0 for i in range(half.rows)):
+        return 3, {"reason": "half form is even; expected an odd form"}
     point_coords = solve(basis, _POINT)
     if point_coords is None:
-        yield {"reason": "(0,0,1) is not in the computed invariant lattice"}
-        return
-    yield None
+        return 4, {"reason": "(0,0,1) is not in the computed invariant lattice"}
     half_point = half.mul_vec(point_coords)
     bad = [i for i in range(half.rows) if (half_point[i] - half[i, i]) % 2 != 0]
     if bad:
-        yield {
+        return 5, {
             "reason": "(0,0,1) is not characteristic for the half form",
             "basis_indices": bad,
             "point_in_basis": list(point_coords),
         }
-    else:
-        yield None
+    return None
 
 
 def verify_invariant_lattice() -> VerificationReport:
@@ -466,12 +466,12 @@ def verify_invariant_lattice() -> VerificationReport:
 
     Checks, in order: rank 12; every Gram entry even; half form unimodular
     (det +-1); half form odd (an odd diagonal entry); (0,0,1) lies in the
-    invariant lattice and is characteristic for the half form.
+    invariant lattice and is characteristic for the half form. Each step
+    reads the ones before it, so the six run serially in the parent.
     """
-    # Six steps, in order and in the parent: each step reads the ones before
-    # it, so the steps are one generator and case i takes its next result.
-    steps = _invariant_lattice_results()
-    return _run_cases("invariant-lattice", lambda step: next(steps), 6)
+    started = time.perf_counter()
+    step, counterexample = _invariant_lattice_failure() or (5, None)
+    return VerificationReport("invariant-lattice", step + 1, counterexample, time.perf_counter() - started)
 
 
 _LETTER_ENTRIES = 2 * FULL_RANK  # a reflection's w, then its dual

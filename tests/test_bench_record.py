@@ -43,3 +43,79 @@ WIDE = [2, 3] * 5
 )
 def test_pair_verdict(other, this, better, bound, expected):
     assert pair_verdict(other, this, better, bound) == expected
+
+
+def _record(monkeypatch, root: Path, calls: list, traced: dict):
+    """A fresh record.py whose checkout is root and whose perfbench runs are recorded in calls.
+
+    A warm-up (1 s, --trace 0) reads incorrect with failed operations, so a
+    warm-up that was counted would be listed. A traced run reads traced[checkout].
+    """
+    spec = importlib.util.spec_from_file_location("bench_record", RECORD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def perfbench(workload, seed, seconds, trace, checkout):
+        calls.append((workload, seed, seconds, trace, checkout))
+        if trace:
+            counts, correct = traced[checkout]
+            metrics = {name: {"value": value, "unit": "count"} for name, value in counts.items()}
+            metrics["kernels.matmul.s"] = {"value": 0.5 * seed, "unit": "s"}  # a time gets no row
+            return {"correct": correct, "attempted": 4, "failed": 0, "metrics": metrics}, {}
+        warm = seconds == 1
+        value = 1.0 + seed / 100 - (checkout == root) / 1000
+        result = {"correct": not warm, "attempted": 4, "failed": 3 * warm, "metrics": {"wall_s": {"value": value, "unit": "s"}}}
+        return result, {}
+
+    monkeypatch.setattr(module, "ROOT", root)
+    monkeypatch.setattr(module, "perfbench", perfbench)
+    return module
+
+
+def _checkout(path: Path, run_py: str = "print('run')\n") -> Path:
+    (path / "perfbench" / "__pycache__").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text('{"run_seconds": 30}\n')
+    (path / "perfbench" / "run.py").write_text(run_py)
+    (path / "perfbench" / "__pycache__" / "run.cpython.pyc").write_bytes(path.name.encode())  # differs, skipped
+    return path
+
+
+def test_alternate_runs_warm_ups_pairs_then_one_traced_run_per_side(tmp_path, monkeypatch, capsys):
+    other, this = _checkout(tmp_path / "other"), _checkout(tmp_path / "this")
+    counts = {"kernels.matmul.calls": 7, "prng.substream.calls": 11, "verify.pool.size": 9106}
+    traced = {other: (counts, True), this: (dict(counts, **{"prng.substream.calls": 12}), False)}
+    calls = []
+    record = _record(monkeypatch, this, calls, traced)
+    record.alternate(other, "phi", 3, 5)
+
+    seconds = record.BENCHMARK["run_seconds"]
+    assert calls[:2] == [("phi", 5, 1, 0, other), ("phi", 5, 1, 0, this)]
+    for k in range(3):
+        order = (other, this) if k % 2 == 0 else (this, other)
+        assert calls[2 + 2 * k : 4 + 2 * k] == [("phi", 5 + k, seconds, 0, side) for side in order]
+    assert calls[8:] == [("phi", 5, record.TRACED_SECONDS, 1, other), ("phi", 5, record.TRACED_SECONDS, 1, this)]
+    assert record.TRACED_SECONDS == 1
+
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines if line.startswith("pair ")] == [["pair", "1,"], ["pair", "2,"], ["pair", "3,"]]
+    rows = {line.split()[0]: line.split()[1:] for line in lines if line.split()[:1] and line.split()[0] in counts}
+    assert rows == {
+        "kernels.matmul.calls": ["7", "7", "equal"],
+        "prng.substream.calls": ["11", "12", "differs"],
+        "verify.pool.size": ["9106", "9106", "equal"],
+    }
+    assert [line.endswith("3/3  within the bound") for line in lines if line.startswith("wall_s ")] == [True]
+    bad = lines.index("runs incorrect or with failed operations: 1")
+    assert lines[bad + 1 :] == ["  this checkout, traced, seed 5: correct False, 0 of 4 operations failed"]
+
+
+def test_alternate_refuses_checkouts_whose_benchmarks_differ(tmp_path, monkeypatch, capsys):
+    other = _checkout(tmp_path / "other")
+    this = _checkout(tmp_path / "this", run_py="print('changed')\n")
+    calls = []
+    record = _record(monkeypatch, this, calls, {})
+    with pytest.raises(SystemExit) as exc:
+        record.alternate(other, "claims", 2, 1)
+    assert exc.value.code == 2
+    assert "perfbench/run.py differs" in capsys.readouterr().err
+    assert calls == []
