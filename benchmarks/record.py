@@ -13,12 +13,14 @@ A record holds, for the checkout as it is:
   metric with its 5 values, median and quartiles, plus the operations
   attempted and failed;
 - one --trace 1 run per workload (seed 1): the per-layer metrics;
-- `verify claims` and `verify phi-integrality` at their defaults, each timed
-  as the wall time of a fresh process, 3 times;
+- `verify claims` and `verify phi-integrality` at their defaults and again
+  with --jobs 1, and `python -c pass`, the interpreter's start-up beneath
+  every command, each timed as the wall time of a fresh process, 3 times;
 - the Tier-1 suite once, with --durations=0: its wall time, its outcome line
   and every test that took at least 0.5 s as its own row;
 - the commit (and whether the tree differs from it), the machine, the core
-  count, the Python version and KERNEL_BACKEND.
+  count, the Python version, KERNEL_BACKEND, and whether
+  PYTHONDONTWRITEBYTECODE was set where record.py started.
 
 A record lays the layers out; it is no evidence of a change, since two
 records made one after the other also differ by the host's drift. Evidence
@@ -46,6 +48,18 @@ other first, and every per-layer metric whose unit is `count` gets a row:
 the other side's value, this side's, and `equal` or `differs`. Last it
 lists every run, traced ones too, that was incorrect or had failed
 operations.
+
+Compare two copies made the same way, such as two `git archive` copies,
+each unpacked into its own directory, and run --alternate from one of them:
+
+    mkdir parent change
+    git -C REPO archive PARENT | tar -x -C parent
+    git -C REPO archive HEAD | tar -x -C change
+    cd change && python3 benchmarks/record.py --alternate ../parent --workload cli --pairs 10
+
+Do not compare a working checkout with an archive: run from a working
+checkout, the cli workload once read about 2.5 % slower than the same files
+run from an archive, for a reason not yet found.
 """
 from __future__ import annotations
 
@@ -64,10 +78,17 @@ ROOT = Path.cwd()
 BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 RUNS = 5  # --trace 0 runs per workload, for the median and quartiles
 VERIFY_RUNS = 3
-VERIFY_COMMANDS = {"verify_claims_s": ["verify", "claims"], "verify_phi_s": ["verify", "phi-integrality"]}
+VERIFY_COMMANDS = {
+    "verify_claims_s": ["-m", "mukaitwist", "verify", "claims"],
+    "verify_phi_s": ["-m", "mukaitwist", "verify", "phi-integrality"],
+    "verify_claims_jobs1_s": ["-m", "mukaitwist", "verify", "claims", "--jobs", "1"],
+    "verify_phi_jobs1_s": ["-m", "mukaitwist", "verify", "phi-integrality", "--jobs", "1"],
+    "python_floor_s": ["-c", "pass"],
+}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0"]
 SLOW_TEST_S = 0.5  # Tier-1 tests at least this slow get their own row
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+BYTECODE_OFF = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))  # Python reads any non-empty value as set
 # A count repeats exactly for a fixed seed and length, so one short traced run per side is enough.
 TRACED_SECONDS = 1
 
@@ -121,7 +142,7 @@ def record_verify() -> dict:
     for name, argv in VERIFY_COMMANDS.items():
         walls = []
         for _ in range(VERIFY_RUNS):
-            proc, wall = run(["-m", "mukaitwist", *argv], env)
+            proc, wall = run(argv, env)
             if proc.returncode != 0:
                 raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr[-2000:]}")
             walls.append(wall)
@@ -175,6 +196,7 @@ def record(pr: int) -> None:
         "cores": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "kernel_backend": provenance["kernel_backend"],
+        "pythondontwritebytecode_set": BYTECODE_OFF,
         "runs": RUNS,
         "seconds": seconds,
         "workloads": workloads,

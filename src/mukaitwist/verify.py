@@ -35,21 +35,27 @@ loop, _first_failure, over their own indices:
   builds nothing per letter. A forked child holds only the forking thread,
   so pass jobs > 1 only from a process that runs no other threads (the CLI
   runs none).
-* early stop -- with w > 1 the workers share one 8-byte word (an
-  anonymous mmap), the lowest failing index found so far, count at first;
-  with w = 1 the bound is a one-item list. Before each index a worker
-  stops if the index is above it; a worker that fails below it writes its
-  own index there. Only real failing indices are written, so a race can
-  make a worker stop later but never skip an index below the lowest
+* early stop -- each worker k has its own 8-byte word, lowest[k], the index
+  of its first case that fails or raises, count at first; with w > 1 the
+  words are one anonymous mmap that the forked workers share, and with
+  w = 1 a one-item list. Before each index a worker stops if the index is
+  above the lowest word. Only real failing indices are written, so a race
+  can make a worker stop later but never skip an index below the lowest
   failure.
-* merge -- each worker sends its first (index, counterexample), or None,
-  through a pipe (marshal) and leaves by os._exit. The parent keeps the
-  lowest failing index, and trials_run is that index + 1, or the case
-  count when every case passes. Below that index every case passed, in
-  some worker, so the report is the serial one whatever w is.
-* failure -- a worker that raises makes the call raise, naming the
-  worker's exception and traceback. Every worker is reaped on every path;
-  if the parent raises, its workers are killed first.
+* merge -- the words are all a worker gives back: it leaves by os._exit,
+  with status 1 if a case raised and 0 otherwise. Once every worker is
+  reaped, the parent replays the lowest index written, through the case
+  function, and its counterexample is the report's, with trials_run that
+  index + 1, or the case count when no word was written. Below that index
+  every case passed, in some worker, so the report is the serial one
+  whatever w is.
+* failure -- a worker that raised has its case replayed in the parent, so
+  the call raises that case's own exception, as a serial run does. Any
+  other fault raises RuntimeError: a worker that exits otherwise (killed
+  by a signal, say), a raising case whose replay does not raise, and a
+  failing case whose replay passes (a case that depends on the process it
+  runs in). Every worker is reaped on every path; if the parent raises,
+  its workers are killed first.
 
 A falsified congruence is data, not an exception: the report carries the
 first counterexample, with enough coordinates to re-evaluate the failed
@@ -84,7 +90,6 @@ Checks:
 """
 from __future__ import annotations
 
-import marshal
 import os
 import time
 from collections.abc import Sequence
@@ -178,108 +183,99 @@ class VerificationReport(Record):
         return out
 
 
-def _shared_bound(count: int) -> memoryview:
-    """One 8-byte word, set to count, that forked workers share: the lowest failing index found."""
+def _lowest_failures(workers: int, count: int):
+    """One word per worker, the index of its first failing case, shared across a fork when workers > 1.
+
+    Each word starts at count, or at an 8-byte word's largest value, which no run reaches.
+    """
+    start = min(count, 2**64 - 1)
+    if workers == 1:
+        return [start]
     import mmap  # loaded only by a run that forks
 
-    bound = memoryview(mmap.mmap(-1, 8)).cast("Q")
-    bound[0] = min(count, 2**64 - 1)  # the word's largest value; no run reaches that index
-    return bound
+    lowest = memoryview(mmap.mmap(-1, 8 * workers)).cast("Q")
+    for k in range(workers):
+        lowest[k] = start
+    return lowest
 
 
-def _first_failure(case, indices, bound) -> tuple[int, dict] | None:
-    """The first index of indices whose case fails, with its counterexample; or None.
+def _first_failure(case, indices, lowest, k: int) -> None:
+    """Run case over indices; write the first index that fails or raises to lowest[k].
 
-    It stops before an index above the shared bound, and a failure below the
-    bound lowers it, so that every worker stops before its next index above it.
+    It stops before an index above min(lowest), so that every worker stops
+    before its next index above the lowest failure found. A raise propagates.
     """
     for index in indices:
-        if index > bound[0]:
-            break
-        counterexample = case(index)
-        if counterexample is not None:
-            if index < bound[0]:
-                bound[0] = index
-            return index, counterexample
-    return None
-
-
-def _fork_worker(case, indices: range, bound: memoryview) -> tuple[int, int]:
-    """Fork a worker over indices; return its pid and the read end of its pipe.
-
-    The worker sends (True, first failure) or, if it raised, (False, the
-    exception's type name, its traceback) and exits without running any
-    inherited clean-up or flushing any inherited buffer.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    try:
-        os.close(read_fd)
+        if index > min(lowest):
+            return
         try:
-            payload = marshal.dumps((True, _first_failure(case, indices, bound)))
-        except BaseException as exc:
-            import traceback  # loaded by a worker that failed, never by the parent
-
-            payload = marshal.dumps((False, type(exc).__name__, traceback.format_exc()))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+            counterexample = case(index)
+        except BaseException:
+            lowest[k] = index
+            raise
+        if counterexample is not None:
+            lowest[k] = index
+            return
 
 
-def _receive(read_fd: int, worker: int) -> tuple[int, dict] | None:
-    """A worker's first failure, read to the end of its pipe."""
-    with open(read_fd, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    if not data:
-        raise RuntimeError(f"verify worker {worker} exited without a result")
-    ok, *result = marshal.loads(data)
-    if not ok:
-        name, trace = result
-        raise RuntimeError(f"verify worker {worker} raised {name}:\n{trace}")
-    return result[0]
+def _fork_worker(case, indices: range, lowest, k: int) -> int:
+    """Fork worker k over indices; return its pid.
+
+    The worker exits with status 1 if a case raised, else 0, without running
+    any inherited clean-up or flushing any inherited buffer.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    try:
+        _first_failure(case, indices, lowest, k)
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
 
 
 def _run_cases(name: str, case, count: int, jobs: int = 1) -> VerificationReport:
     """Run case(0), ..., case(count - 1) on min(jobs, count) workers; report the lowest failing index.
 
-    case(index) returns None or that index's counterexample; the report carries the first.
+    case(index) returns None or that index's counterexample. The parent
+    replays the lowest index that any worker found failing, and that call's
+    result, or its exception, is the report's, as in a serial run.
     """
     require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
     workers = max(1, min(jobs, count))
+    lowest = _lowest_failures(workers, count)
+    unset = lowest[0]
     own = range(0, count, workers)
-    bound = _shared_bound(count) if workers > 1 else [count]
     # Index 0 runs before any fork and builds the caches the cases share.
-    first = _first_failure(case, own[:1], bound)
-    children: list[tuple[int, int]] = []
+    _first_failure(case, own[:1], lowest, 0)
+    children: list[int] = []
     try:
-        # A counterexample at index 0 is the lowest there can be: fork no worker.
-        for k in range(1, workers) if first is None else ():
-            children.append(_fork_worker(case, range(k, count, workers), bound))
-        failures = [first or _first_failure(case, own[1:], bound)]
-        failures += [_receive(read_fd, k) for k, (_, read_fd) in enumerate(children, 1)]
+        # A failure at index 0 is the lowest there can be: fork no worker.
+        for k in range(1, workers) if lowest[0] == unset else ():
+            children.append(_fork_worker(case, range(k, count, workers), lowest, k))
+        _first_failure(case, own[1:], lowest, 0)
     except BaseException:
         import signal  # loaded only on this path
 
-        for pid, _ in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-    index, counterexample = min((f for f in failures if f is not None), default=(count - 1, None), key=lambda f: f[0])
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for k, status in enumerate(statuses, 1):
+        if status == 1 and lowest[k] < unset:
+            case(lowest[k])  # the worker's exception, raised here as a serial run raises it
+        if status:
+            raise RuntimeError(f"verify worker {k} exited with status {status}")
+    index = min(lowest)
+    if index == unset:
+        return VerificationReport(name, count, None, time.perf_counter() - started)
+    counterexample = case(index)
+    if counterexample is None:
+        raise RuntimeError(f"verify case {index} failed in a worker but passes when replayed")
     return VerificationReport(name, index + 1, counterexample, time.perf_counter() - started)
 
 

@@ -1,5 +1,7 @@
-"""benchmarks/record.py's verdict on alternating pairs, on fixed numbers."""
+"""benchmarks/record.py's verdict on alternating pairs and the rows of a record, on fixed numbers."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,38 @@ def test_alternate_refuses_checkouts_whose_benchmarks_differ(tmp_path, monkeypat
     assert exc.value.code == 2
     assert "perfbench/run.py differs" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("value, expected", [("1", True), (None, False)])
+def test_record_times_jobs1_and_the_interpreter_floor_and_notes_bytecode_writing(tmp_path, monkeypatch, value, expected):
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    root = _checkout(tmp_path / "this")
+    record = _record(monkeypatch, root, [], {root: ({}, True)})
+    fake_perfbench = record.perfbench
+    monkeypatch.setattr(
+        record, "perfbench", lambda *args, checkout=root: (fake_perfbench(*args, checkout)[0], {"kernel_backend": "pure"})
+    )
+    monkeypatch.setattr(record, "git", lambda *args: "")
+    launched = []
+
+    def run(args, env=None, cwd=None):
+        launched.append(args)
+        assert "PYTHONDONTWRITEBYTECODE" not in env  # no child runs with it, whatever record.py started with
+        return subprocess.CompletedProcess(args, 0, stdout="1 passed in 0.01s\n", stderr=""), 0.04 + len(launched) / 1000
+
+    monkeypatch.setattr(record, "run", run)
+    record.record(7)
+
+    doc = json.loads((root / "BENCH_7.json").read_text())
+    assert doc["pythondontwritebytecode_set"] is expected
+    assert launched.count(["-c", "pass"]) == record.VERIFY_RUNS == 3
+    for argv in (["verify", "claims"], ["verify", "phi-integrality"]):
+        assert launched.count(["-m", "mukaitwist", *argv]) == 3
+        assert launched.count(["-m", "mukaitwist", *argv, "--jobs", "1"]) == 3
+    rows = doc["verify"]
+    assert list(rows) == ["verify_claims_s", "verify_phi_s", "verify_claims_jobs1_s", "verify_phi_jobs1_s", "python_floor_s"]
+    floor = rows["python_floor_s"]
+    assert floor == {"unit": "s", **record.summary(floor["values"])} and len(floor["values"]) == 3

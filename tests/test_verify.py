@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -1006,9 +1007,39 @@ class TestParallelRuns:
 
     def test_worker_that_raises_makes_the_call_raise(self, monkeypatch, check):
         _fail_trial(monkeypatch, 1, ZeroDivisionError)  # index 1 is the forked worker's at jobs=2
-        with pytest.raises(RuntimeError, match="worker 1 raised ZeroDivisionError") as raised:
+        with pytest.raises(ZeroDivisionError, match="trial 1"):
             PARALLEL_CHECKS[check](ORDER_CFG, jobs=2)
-        assert "Traceback" in str(raised.value) and "trial 1" in str(raised.value)
+        _no_child_left()
+
+    def test_worker_killed_by_a_signal_makes_the_call_raise(self, monkeypatch, check):
+        parent = os.getpid()
+        draw = verify.substream
+
+        def kill_worker_at_trial_1(seed, index):
+            if index == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return draw(seed, index)
+
+        monkeypatch.setattr(verify, "substream", kill_worker_at_trial_1)
+        with pytest.raises(RuntimeError, match="verify worker 1 exited with status -9"):
+            PARALLEL_CHECKS[check](ORDER_CFG, jobs=2)
+        _no_child_left()
+
+    def test_failure_only_a_worker_sees_is_an_internal_fault(self, monkeypatch, check):
+        # Trial 1 fails in the forked worker alone, so its replay in the parent passes.
+        parent = os.getpid()
+        trial = [None]
+        draw = verify.substream
+
+        def note_trial(seed, index):
+            trial[0] = index
+            return draw(seed, index)
+
+        monkeypatch.setattr(verify, "substream", note_trial)
+        _shift_pairing(monkeypatch, lambda: trial[0] == 1 and os.getpid() != parent)
+        assert PARALLEL_CHECKS[check](ORDER_CFG, jobs=1).passed
+        with pytest.raises(RuntimeError, match="case 1 failed in a worker but passes when replayed"):
+            PARALLEL_CHECKS[check](ORDER_CFG, jobs=2)
         _no_child_left()
 
     def test_parent_that_raises_reaps_its_workers(self, monkeypatch, check):
