@@ -60,6 +60,12 @@ each unpacked into its own directory, and run --alternate from one of them:
 Do not compare a working checkout with an archive: run from a working
 checkout, the cli workload once read about 2.5 % slower than the same files
 run from an archive, for a reason not yet found.
+
+One set of pairs is not enough to read a verdict of "worse beyond the
+bound" or "unresolved": one set of ten cli pairs once read the same code
+10 % slower while the sets before and after it read it within 1.5 %. Run a
+second set at another --seed before reading such a verdict, and report
+both.
 """
 from __future__ import annotations
 

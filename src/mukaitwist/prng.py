@@ -16,15 +16,12 @@ samples.
 mix64 and next_u64 are the reference definitions. integers draws count
 uniform values from [lo, hi] by rejection: each candidate is the top bits
 of one next_u64, kept when it lands below hi - lo + 1. integer is
-integers(lo, hi, 1) and below is integers(0, n - 1, 1), so all three draw
-the same values and leave the same state.
+integers(lo, hi, 1), so both draw the same values and leave the same state.
 
-A single draw (count 1) runs that one-at-a-time loop itself, which costs
-less than setting up a batch. For more, integers evaluates its candidates
-as a lane batch: m consecutive outputs computed at once in 128-bit lanes of
-one Python int, lane k holding state + (k + 1) GAMMA mod 2**64. The batch
-is exact, lane by lane, because no operation of mix64 carries a bit out of
-its lane:
+integers evaluates its candidates as lane batches: m consecutive outputs
+computed at once in 128-bit lanes of one Python int, lane k holding
+state + (k + 1) GAMMA mod 2**64. The batch is exact, lane by lane, because
+no operation of mix64 carries a bit out of its lane:
 
 - every xor-shift shifts the whole int right and masks each lane back to its
   low 64 bits, so the bits that a lane receives from the lane above are
@@ -34,10 +31,12 @@ its lane:
   side, and masking reduces each mod 2**64.
 
 The top bits of each lane come out through to_bytes and one struct.Struct
-per lane count, cached. The first count candidates below hi - lo + 1 are
-kept and the state ends just after the last one kept, exactly where the
-one-at-a-time loop would leave it; when a batch accepts too few, the next
-batch starts where it ended. So integers(lo, hi, a + b) is
+per lane count, cached. One loop walks each batch's candidates in order and
+keeps those below hi - lo + 1. At the count-th kept, the state is set to
+the batch's start plus (its lane + 1) GAMMA, just after that candidate, as
+next_u64 one at a time would leave it, and the call returns. A batch that
+keeps too few advances the state by m GAMMA, and the next batch is sized
+for the draws still needed. So integers(lo, hi, a + b) is
 integers(lo, hi, a) + integers(lo, hi, b), with the same final state.
 
 A batch holds the expected number of candidates plus need // 8 + 2. Each
@@ -73,12 +72,6 @@ class SplitMix64:
         self.state = (self.state + GAMMA) & _MASK
         return mix64(self.state)
 
-    def below(self, n: int) -> int:
-        """Uniform draw from [0, n) by rejection on the top bits."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        return self.integers(0, n - 1, 1)[0]
-
     def integer(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         return self.integers(lo, hi, 1)[0]
@@ -96,15 +89,8 @@ class SplitMix64:
         if not bits:  # n == 1 takes no draw
             return (lo,) * count
         shift = 64 - bits
-        if count == 1:  # one draw: the plain rejection loop, cheaper than a batch
-            while True:
-                r = self.next_u64() >> shift
-                if r < n:
-                    return (lo + r,)
-        state = self.state
-        out = []
+        state, out, need = self.state, [], count
         while True:
-            need = count - len(out)
             # The expected number of candidates and a margin; see the module doc.
             m = min((need << bits) // n + need // 8 + 2, _MAX_LANES)
             ones, ramp, mask, unpack = _lanes(m)
@@ -113,24 +99,14 @@ class SplitMix64:
             z = ((z ^ (z >> 27) & mask) * 0x94D049BB133111EB) & mask
             # The top bits of each output; what the shift brings into a lane's
             # high half from the lane above is never unpacked.
-            draws = unpack(((z ^ (z >> 31) & mask) >> shift).to_bytes(16 * m, "little"))
-            accepted = [lo + r for r in draws if r < n]
-            surplus = len(accepted) - need
-            if surplus < 0:
-                out += accepted
-                state = (state + m * GAMMA) & _MASK
-                continue
-            # Give back the candidates after the need-th accepted one.
-            used = m
-            for r in reversed(draws):
+            for used, r in enumerate(unpack(((z ^ (z >> 31) & mask) >> shift).to_bytes(16 * m, "little")), 1):
                 if r < n:
-                    if not surplus:
-                        break
-                    surplus -= 1
-                used -= 1
-            out += accepted[:need]
-            self.state = (state + used * GAMMA) & _MASK
-            return tuple(out)
+                    out.append(lo + r)
+                    need -= 1
+                    if not need:  # the state ends just after this candidate
+                        self.state = (state + used * GAMMA) & _MASK
+                        return tuple(out)
+            state = (state + m * GAMMA) & _MASK
 
 
 @lru_cache(maxsize=64)

@@ -71,7 +71,9 @@ checks meet the maps and the Gram.
 Checks:
 
 * square congruence -- (l + Tl)^2 = 0 mod 4 for degree-2 classes l, plus
-  the block identity l . (cover involution l) = 2 x.y + 2 z1.z2 - z3^2.
+  the block identity l . (cover involution l) = 2 x.y + 2 z1.z2 - z3^2 and
+  the doubling identity (l + Tl)^2 = 2 l^2 + 2 l . (cover involution l),
+  which holds because l . Tl = l . (cover involution l) on (0, l, 0).
 * characteristic congruence -- <(0,0,1), v> = v^2 mod 4 for T-invariant v,
   sampled both from the closed-form parametrization and from the computed
   kernel basis of T - 1.
@@ -309,7 +311,9 @@ def _square_congruence_case(ell: tuple[int, ...]) -> dict | None:
     pair_tau = h2.inner(ell, cover_involution_coords(ell))
     x, y, z1, z2, z3 = _h2_blocks(ell)
     block_formula = 2 * minus_e8.inner(x, y) + 2 * u_lat.inner(z1, z2) - u_lat.norm(z3)
-    if square % 4 == 0 and pair_tau == block_formula:
+    # (l + Tl)^2 = 2 l^2 + 2 l.Tl, and l.Tl = l.tau(l) on (0, l, 0): this ties
+    # _doubled and T to the separate route through the cover involution.
+    if square % 4 == 0 and pair_tau == block_formula and square == 2 * h2.norm(ell) + 2 * pair_tau:
         return None
     return {
         "ell": list(ell),
@@ -540,6 +544,8 @@ def _generator_pool() -> _Pool:
 
 def _sample_word(seed: int, word_length: int) -> tuple[int, ...]:
     """The pool indices of a deterministic word in the generator pool, leftmost first."""
+    # substream(seed, 0) is the same stream, but a call to substream reads as
+    # one trial's draws, to a test's spy and to the tracer alike.
     return SplitMix64(mix64(seed)).integers(0, len(_generator_pool()) - 1, word_length)
 
 
@@ -592,7 +598,7 @@ STRENGTHENED_PAIRINGS_PER_TRIAL = 10
 def _phi_case(cfg: TrialConfig, word_length: int, trial: int) -> dict | None:
     """Phi trial `trial`, a word of length at most word_length: None, or its counterexample."""
     rng = substream(cfg.seed, trial)
-    length = rng.below(word_length + 1)
+    length = rng.integer(0, word_length)
     word_seed = rng.next_u64()
     image = _apply_word(_sample_word(word_seed, length), _POINT)
     # An isometry keeps (0,0,1) isotropic; a letter that is none fails here.

@@ -114,9 +114,11 @@ MUTANTS = {
         lambda mp: _patch_t(mp, _t_with(lambda r, a, b: (r - a, r - b), lambda r, a, b: 0)),
         ALL_BUT_SQUARE_REFUSED,
     ),
+    # On (0, l, 0) this T keeps l's z3 block where the cover involution negates
+    # it, so (l + Tl)^2 = 2 l^2 + 2 l . tau(l) fails by 4 z3^2.
     "T with z3 not negated": (
         lambda mp: _patch_t(mp, _t_with(lambda r, a, b: (r + a, r + b), lambda r, a, b: r - a - b)),
-        ALL_BUT_SQUARE_REFUSED,
+        _outcomes(COUNTEREXAMPLE, REFUSED, REFUSED, REFUSED),
     ),
     "T with 2r in place of r": (
         lambda mp: _patch_t(mp, _t_with(lambda r, a, b: (2 * r - a, 2 * r - b), lambda r, a, b: 2 * r - a - b)),
@@ -147,11 +149,12 @@ MUTANTS = {
         lambda mp: mp.setattr(verify, "cover_involution_coords", itemgetter(*COVER_SWAP, 20, 21)),
         _outcomes(COUNTEREXAMPLE, EQUIVALENT, EQUIVALENT, EQUIVALENT),
     ),
-    # 2l in place of l + Tl meets every congruence that l + Tl must, so no check
-    # catches it; tests/test_verify.py's pinned counterexample does.
+    # 2l in place of l + Tl meets every congruence that l + Tl must, so only the
+    # square check's doubling identity catches it: (2l)^2 = 4 l^2 is not
+    # 2 l^2 + 2 l . tau(l) unless l^2 = l . tau(l).
     "l + Tl as l + l": (
         lambda mp: mp.setattr(verify, "_doubled", lambda ell: tuple(2 * x for x in (0, *ell, 0))),
-        _outcomes(EQUIVALENT, EQUIVALENT, EQUIVALENT, EQUIVALENT),
+        _outcomes(COUNTEREXAMPLE, EQUIVALENT, EQUIVALENT, EQUIVALENT),
     ),
     # On (0, l, 0) + T(0, l, 0) the dropped terms -r s' - r' s vanish, as r = 0.
     # phi's isotropy check reads the square of phi(0,0,1), whose r and s are not 0.

@@ -42,16 +42,16 @@ def test_substream_draws_are_pinned():
     )
 
 
-def test_below_rejects_draws_out_of_range():
-    # From seed 0 the top 7 bits of the first output are 113, outside [0, 101):
+def test_integer_rejects_draws_out_of_range():
+    # From seed 0 the top 7 bits of the first output are 113, outside [0, 100]:
     # that draw is rejected and the second, 55, is returned.
     rng = SplitMix64(0)
-    assert rng.below(101) == 55
+    assert rng.integer(0, 100) == 55
     assert rng.state == 2 * GAMMA % 2**64  # two draws taken
-    # below(3) keeps the top 2 bits; the raw draws 3, 1, 0, 3, 0, 1, 0, 3, ...
+    # integer(0, 2) keeps the top 2 bits; the raw draws 3, 1, 0, 3, 0, 1, 0, 3, ...
     # give 1, 0, 0, 1, 0, ... with every 3 rejected.
     rng = SplitMix64(0)
-    assert [rng.below(3) for _ in range(8)] == [1, 0, 0, 1, 0, 0, 1, 2]
+    assert [rng.integer(0, 2) for _ in range(8)] == [1, 0, 0, 1, 0, 0, 1, 2]
 
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -72,21 +72,20 @@ SPANS = st.one_of(
 @example(0, 0, 2**64 - 1, 5)  # the whole 64-bit output, no rejection
 @example(1, -3, 3, 0)
 @example(7, -50, 2**63, 220)  # acceptance just over 1/2: batches run short
+@example(7, -50, 2**63, 600)  # more candidates than _MAX_LANES: batches run short at the cap
 @example(1729, -50, 100, 220)  # one phi trial's pairing coordinates
-# One draw takes the one-at-a-time loop: spans of 1, 2^k, 2^k + 1 and 2^64 - 1.
+# One draw, as integer takes it: spans of 1, 2^k, 2^k + 1 and 2^64 - 1.
 @example(3, -1, 1, 1)
 @example(3, 0, 2**20, 1)
 @example(5, 7, 2**63 + 1, 1)
 @example(9, -(2**63), 2**64 - 1, 1)
-@example(11, 0, 9105, 1)  # a phi word letter: below(len(pool))
-def test_integers_and_below_match_reference(seed, lo, span, count):
+@example(11, 0, 9105, 1)  # a phi word letter: integer(0, len(pool) - 1)
+def test_integers_and_integer_match_reference(seed, lo, span, count):
     hi = lo + span
     fast, ref = SplitMix64(seed), SplitMix64(seed)
     assert fast.integers(lo, hi, count) == reference_integers(ref, lo, hi, count)
     assert fast.state == ref.state
     if count:
-        assert fast.below(span + 1) == reference_integers(ref, 0, span, 1)[0]
-        assert fast.state == ref.state
         assert fast.integer(lo, hi) == reference_integers(ref, lo, hi, 1)[0]
         assert fast.state == ref.state
 
@@ -99,8 +98,6 @@ def test_empty_range(seed, lo, gap):
         rng.integers(lo, lo - gap, 1)
     with pytest.raises(ValueError):
         rng.integer(lo, lo - gap)
-    with pytest.raises(ValueError):
-        rng.below(1 - gap)
     assert rng.state == SplitMix64(seed).state
 
 
@@ -130,8 +127,6 @@ def test_range_wider_than_one_output_is_refused():
             rng.integers(0, hi, count)
         with pytest.raises(ValueError, match=message):
             rng.integer(0, hi)
-        with pytest.raises(ValueError, match=message):
-            rng.below(hi + 1)
         assert rng.state == 0  # no draw taken
         with pytest.raises(ValueError):
             reference_integers(SplitMix64(0), 0, hi, count)

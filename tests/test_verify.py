@@ -241,7 +241,7 @@ class TestWordEvaluation:
     def test_vector_route_matches_matrix_route(self, seed, length):
         pool = verify._generator_pool()
         rng = SplitMix64(mix64(seed))
-        indices = [rng.below(len(pool)) for _ in range(length)]
+        indices = [rng.integer(0, len(pool) - 1) for _ in range(length)]
         product = IntMatrix.identity(24)
         for i in indices:
             product = product @ self.letter_matrix(i)
@@ -479,7 +479,7 @@ class TestTrialDraws:
         _shift_pairing(monkeypatch, lambda: len(calls.append(0) or calls) == 11)
         ce = verify._phi_case(self.CFG, 4, 0)
         rng = substream(self.CFG.seed, 0)
-        length, word_seed = rng.below(5), rng.next_u64()
+        length, word_seed = rng.integer(0, 4), rng.next_u64()
         ells = [rng.integers(-50, 50, 22) for _ in range(verify.STRENGTHENED_PAIRINGS_PER_TRIAL)]
         assert ce["source"] == "trial 0, pairing 9"
         assert (ce["word_length"], ce["word_seed"], ce["ell"]) == (length, word_seed, list(ells[9]))
@@ -488,7 +488,7 @@ class TestTrialDraws:
         pool = verify._generator_pool()
         for seed in range(5):
             rng = SplitMix64(mix64(seed))
-            assert verify._sample_word(seed, 9) == tuple(rng.below(len(pool)) for _ in range(9))
+            assert verify._sample_word(seed, 9) == tuple(rng.integer(0, len(pool) - 1) for _ in range(9))
 
 
 class TestCongruenceTransport:
