@@ -85,10 +85,12 @@ Checks:
   mod 4. The generator pool is T, -1 and reflection vectors w, harvested
   once per process from the lex-sorted short vectors of the +-1
   eigenlattices of T: of each scan's hits, which come in pairs +-v, the
-  upper half (the v with a positive leading entry) is kept, once checked
-  (T w = +-w, and w^2 = +-2 by reflection_dual), with its dual, in one
-  flat array. A word is a tuple of pool indices, applied to (0,0,1) right
-  to left by _apply_word, each reflection as a rank-one update.
+  upper half (the v with a positive leading entry) is kept, with its dual,
+  in one flat array. T B = +-B is checked once for each kernel basis B,
+  which gives T w = +-w for every w = B v by linearity, and
+  reflection_dual checks w^2 = +-2 for each w. A word is a tuple of pool
+  indices, applied to (0,0,1) right to left by _apply_word, each
+  reflection as a rank-one update.
 """
 from __future__ import annotations
 
@@ -483,10 +485,11 @@ class _Pool(Record):
     Letter 0 is T, letter 1 is -1, and letter i >= 2 the reflection in
     w_{i - 2}, whose w and dual 2 G w / w^2 fill the _LETTER_ENTRIES signed
     bytes from (i - 2) * _LETTER_ENTRIES on. entries is a view of
-    bytes(entries given): the harvest's or a pickle's bytes object itself,
-    not a copy (an array given is copied). So forked workers share a pool
-    that refuses item assignment, through the view and through its obj
-    alike. A view has no hash, so a pool has none.
+    bytes(entries given): the harvest's array is copied once, into that
+    bytes object, and a pickle's bytes object is kept itself, not copied.
+    So forked workers share a pool that refuses item assignment, through
+    the view and through its obj alike. A view has no hash, so a pool has
+    none.
     """
 
     __slots__ = _fields = ("entries",)
@@ -512,34 +515,33 @@ def _generator_pool() -> _Pool:
     1 of the kernel basis. Negation reverses that order and maps hits to
     hits, and the zero vector has square 0, so it is never a hit: the upper
     half of each list is exactly the hits with a positive leading entry, in
-    order, one of each pair +-v, which give the same reflection. Each w of
-    the upper half is checked once, here: T w is compared with +-w by
-    twisted_involution_coords, and reflection_dual checks w^2 = +-2 in the
-    full lattice and returns the dual. Each w and its dual are kept, in
-    order, as signed bytes in the scan's own array('b'), which raises
-    OverflowError on an entry it cannot hold; the four scans' bytes are
-    joined once, after the last scan (see _Pool). A reflection in such a w
-    commutes with T, so every word in the pool does. This pool generates a
-    proper subgroup of the full equivariant orthogonal group; it is a test
-    family, not an enumeration.
+    order, one of each pair +-v, which give the same reflection. Each
+    kernel basis B is checked once, before its scans: T B = sign * B, as
+    matrices, which gives T w = sign * w for every w = B v by linearity.
+    reflection_dual checks w^2 = +-2 in the full lattice for each w of the
+    upper half, and returns its dual. Each w and its dual are kept, in
+    order, as signed bytes in one array('b') that the four scans fill, and
+    which raises OverflowError on an entry it cannot hold; _Pool copies it
+    once. A reflection in such a w commutes with T, so every word in the
+    pool does. This pool generates a proper subgroup of the full
+    equivariant orthogonal group; it is a test family, not an enumeration.
     """
     from array import array  # loaded only by a run that harvests
 
     lat = full_lattice()
-    scans = []
-    for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, twisted_involution_matrix(), -1))):
+    t = twisted_involution_matrix()
+    entries = array("b")
+    for sign, (basis, gram) in ((1, _invariant_basis()), (-1, fixed_sublattice(lat, t, -1))):
+        if t.matrix @ basis != (basis if sign == 1 else -basis):
+            raise RuntimeError(f"kernel basis is not a {sign:+d}-eigenbasis of T")
         sub = Lattice(gram)
         for target in (2, -2):
             hits = short_vectors(sub, target, 1)
-            entries = array("b")
             for v in islice(hits, len(hits) // 2, None):  # leading entry > 0
                 w = basis.mul_vec(v)
-                if twisted_involution_coords(w) != (w if sign == 1 else tuple(map(neg, w))):
-                    raise RuntimeError(f"harvested vector is not a {sign:+d}-eigenvector of T")
                 entries.fromlist([*w, *reflection_dual(lat, w)])
-            del hits  # free this scan's list before its bytes are copied and the next scan builds its own
-            scans.append(entries.tobytes())
-    return _Pool(b"".join(scans))
+            del hits  # free this scan's list before the next scan builds its own
+    return _Pool(entries)
 
 
 def _sample_word(seed: int, word_length: int) -> tuple[int, ...]:

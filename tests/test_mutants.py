@@ -27,7 +27,18 @@ Two mutants are known to be equivalent and have no row:
 * the untwisted cover involution as T, on the square claim alone: l . tau(l)
   is even and mukai_h2 is even, so (l + tau(l))^2 = 2 l^2 + 2 l . tau(l) is
   0 mod 4 too. Its row below pins the other three checks.
+
+Two generated families add to the catalogue: each +-1 change to one entry
+of T's 24x24 matrix (1,152 mutants) and each +-1 change to one symmetric
+pair of full-Gram entries (600 mutants). Tier-1 runs every STRIDE-th
+mutant of each family and asserts that none survives. The full sweep runs
+every mutant and prints its counts:
+
+    PYTHONPATH=src python tests/test_mutants.py
+
+It exits 1 if any mutant survives.
 """
+import sys
 from operator import itemgetter
 
 import pytest
@@ -202,3 +213,85 @@ def test_mutant_is_caught_as_catalogued(seam, mutant):
             report = CHECKS[check]()
             assert report.passed is (outcome is EQUIVALENT), f"{check}: expected {outcome}"
             assert (report.counterexample is not None) is (outcome is COUNTEREXAMPLE)
+
+
+# The generated families. A mutant survives when no check reports a
+# counterexample and none raises the ValueError of REFUSED.
+CAUGHT, RAISED, SURVIVED = "counterexample", "raise only", "survive"
+STRIDE = 16
+
+
+def _t_entry_mutant(i, j, delta):
+    """T with delta added to entry (i, j) of its matrix: T(x) + delta * x_j * e_i."""
+
+    def t(x):
+        y = list(_T(x))
+        y[i] += delta * x[j]
+        return tuple(y)
+
+    return lambda mp: _patch_t(mp, t)
+
+
+def _gram_entry_mutant(i, j, delta):
+    """The full Gram with delta added to its entries (i, j) and (j, i)."""
+    return lambda mp: _patch_gram(mp, {(i, j): mukai.full_lattice().gram[i, j] + delta})
+
+
+_PAIRS = [(i, j) for i in range(24) for j in range(24)]
+FAMILIES = {
+    "T": [(f"T[{i}, {j}] {d:+d}", _t_entry_mutant(i, j, d)) for i, j in _PAIRS for d in (1, -1)],
+    "Gram": [(f"G[{i}, {j}] {d:+d}", _gram_entry_mutant(i, j, d)) for i, j in _PAIRS if i <= j for d in (1, -1)],
+}
+
+
+def _sweep_outcome(monkeypatch, patch) -> str:
+    """CAUGHT, RAISED or SURVIVED for one mutant; its patches are undone and the caches cleared after.
+
+    The checks run in CHECKS' order, and the first that reports a
+    counterexample or raises decides. The square check builds no matrix of
+    T, and each later check builds it first, so once one raises, all raise.
+    """
+    patch(monkeypatch)
+    try:
+        for check in CHECKS.values():
+            try:
+                report = check()
+            except ValueError as error:
+                if "does not preserve the Gram form" not in str(error):
+                    raise
+                return RAISED
+            if report.counterexample is not None:
+                return CAUGHT
+        return SURVIVED
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_no_generated_mutant_survives(seam, family):
+    survivors = [name for name, patch in FAMILIES[family][::STRIDE] if _sweep_outcome(seam, patch) is SURVIVED]
+    assert survivors == []
+
+
+def _sweep() -> int:
+    """Run every mutant of both families, print a table of outcomes and each survivor; 1 if any survives."""
+    print(f"| family | mutants | {CAUGHT} | {RAISED} | {SURVIVED} |")
+    print("|---|---|---|---|---|")
+    survivors = []
+    with pytest.MonkeyPatch.context() as mp:
+        for family, mutants in FAMILIES.items():
+            counts = dict.fromkeys((CAUGHT, RAISED, SURVIVED), 0)
+            for name, patch in mutants:
+                outcome = _sweep_outcome(mp, patch)
+                counts[outcome] += 1
+                if outcome is SURVIVED:
+                    survivors.append(name)
+            print(f"| {family} | {len(mutants):,} | {counts[CAUGHT]:,} | {counts[RAISED]:,} | {counts[SURVIVED]:,} |")
+    for name in survivors:
+        print(f"survives: {name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_sweep())

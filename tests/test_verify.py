@@ -281,7 +281,7 @@ class TestWordEvaluation:
 
 
 class TestHarvestChecks:
-    """The harvest checks every vector it keeps: T w = +-w, then w^2 = +-2 in reflection_dual."""
+    """The harvest checks T B = +-B once per eigenbasis B, and w^2 = +-2 for each w in reflection_dual."""
 
     @pytest.fixture(autouse=True)
     def real_pool_afterwards(self):
@@ -298,7 +298,7 @@ class TestHarvestChecks:
     def test_plus_one_basis_that_is_not_fixed_is_refused(self, monkeypatch):
         basis, gram = verify._invariant_basis()
         monkeypatch.setattr(verify, "_invariant_basis", lambda: (self.shifted(basis), gram))
-        with pytest.raises(RuntimeError, match=r"harvested vector is not a \+1-eigenvector of T"):
+        with pytest.raises(RuntimeError, match=r"kernel basis is not a \+1-eigenbasis of T"):
             verify._generator_pool.__wrapped__()
 
     def test_minus_one_basis_that_is_not_negated_is_refused(self, monkeypatch):
@@ -309,7 +309,7 @@ class TestHarvestChecks:
             return self.shifted(basis), gram
 
         monkeypatch.setattr(verify, "fixed_sublattice", shifted_sublattice)
-        with pytest.raises(RuntimeError, match=r"harvested vector is not a -1-eigenvector of T"):
+        with pytest.raises(RuntimeError, match=r"kernel basis is not a -1-eigenbasis of T"):
             verify._generator_pool.__wrapped__()
 
     def test_wrong_square_is_refused_by_reflection(self, monkeypatch):
@@ -329,6 +329,17 @@ class TestHarvestChecks:
         with pytest.raises(ValueError, match="reflection vector must have square"):
             verify._generator_pool.__wrapped__()
         assert len(built) == TestWordEvaluation.SCAN_HITS[1, 2] // 2 + 1
+
+    def test_t_is_checked_once_per_basis_and_the_dual_once_per_letter(self, monkeypatch):
+        # T w = +-w follows from T B = +-B by linearity, so the harvest applies
+        # T's closed form to no letter; reflection_dual still sees every letter.
+        applied, built = [], []
+        real_t, real_dual = verify.twisted_involution_coords, verify.reflection_dual
+        monkeypatch.setattr(verify, "twisted_involution_coords", lambda x: applied.append(x) or real_t(x))
+        monkeypatch.setattr(verify, "reflection_dual", lambda lat, w: built.append(w) or real_dual(lat, w))
+        pool = verify._generator_pool.__wrapped__()
+        assert applied == []
+        assert len(built) == len(pool) - 2 == sum(TestWordEvaluation.SCAN_HITS.values()) // 2
 
 
 class TestLeanPool:
