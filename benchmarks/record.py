@@ -20,7 +20,9 @@ A record holds, for the checkout as it is:
   and every test that took at least 0.5 s as its own row;
 - the commit (and whether the tree differs from it), the machine, the core
   count, the Python version, KERNEL_BACKEND, and whether
-  PYTHONDONTWRITEBYTECODE was set where record.py started.
+  PYTHONDONTWRITEBYTECODE was set where record.py started. Where git fails,
+  as in a `git archive` copy, the commit reads "unknown" and whether the
+  tree differs reads null; set GIT_DIR to the repository to record both.
 
 A record lays the layers out; it is no evidence of a change, since two
 records made one after the other also differ by the host's drift. Evidence
@@ -169,11 +171,12 @@ def record_tier1() -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "outcome": outcome, "slow_tests_s": slow}
 
 
-def git(*args: str) -> str:
+def git(*args: str) -> str | None:
+    """git's output in this checkout, or None where git fails, as in a `git archive` copy."""
     try:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return None
 
 
 def cpu_model() -> str:
@@ -194,10 +197,11 @@ def record(pr: int) -> None:
     workloads, provenance = {}, {}
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         workloads[workload], provenance = record_workload(workload, seconds)
+    status = git("status", "--porcelain", "--untracked-files=no")
     doc = {
         "pr": pr,
-        "commit": git("rev-parse", "HEAD"),
-        "tree_differs_from_commit": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "commit": git("rev-parse", "HEAD") or "unknown",
+        "tree_differs_from_commit": None if status is None else bool(status),
         "machine": f"{platform.machine()}, {cpu_model()}",
         "cores": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

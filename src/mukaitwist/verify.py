@@ -28,9 +28,10 @@ loop, _first_failure, over their own indices:
   dearer trials. The parent is worker 0 and forks the other w - 1 with
   os.fork, after it has evaluated index 0: that first case builds the
   caches the cases read (the compiled Gram forms, and for phi the
-  generator pool), so no worker builds them again, and if it fails no
-  worker is forked. The characteristic check builds the kernel basis of
-  T - 1 before its cases, so a run of no trials builds it too. The pool is
+  generator pool and _doubled_functional, which a passing case reads), so
+  no worker builds them again, and if it fails no worker is forked. The
+  characteristic check builds the kernel basis of T - 1 before its cases,
+  so a run of no trials builds it too. The pool is
   one read-only view of the harvested bytes, so a worker reads it and
   builds nothing per letter. A forked child holds only the forking thread,
   so pass jobs > 1 only from a process that runs no other threads (the CLI
@@ -82,12 +83,16 @@ Checks:
   form.
 * phi integrality -- words in T-equivariant generators send (0,0,1) to an
   isotropic vector with even degree-2 part, and <phi(0,0,1), l + Tl> = 0
-  mod 4. The generator pool is T, -1 and reflection vectors w, harvested
-  once per process from the lex-sorted short vectors of the +-1
-  eigenlattices of T: of each scan's hits, which come in pairs +-v, the
-  upper half (the v with a positive leading entry) is kept, with its dual,
-  in one flat array. T B = +-B is checked once for each kernel basis B,
-  which gives T w = +-w for every w = B v by linearity, and
+  mod 4 for every degree-2 class l: the pairing is linear in l, so one
+  cached 22x24 matrix, built once per process through _pairing and
+  _doubled, gives each word's 22 values, and only a word that fails them
+  draws and pairs STRENGTHENED_PAIRINGS_PER_TRIAL sampled classes, to
+  build its counterexample. The generator pool is T, -1 and reflection
+  vectors w, harvested once per process from the lex-sorted short vectors
+  of the +-1 eigenlattices of T: of each scan's hits, which come in pairs
+  +-v, the upper half (the v with a positive leading entry) is kept, with
+  its dual, in one flat array. T B = +-B is checked once for each kernel
+  basis B, which gives T w = +-w for every w = B v by linearity, and
   reflection_dual checks w^2 = +-2 for each w. A word is a tuple of pool
   indices, applied to (0,0,1) right to left by _apply_word, each
   reflection as a rank-one update.
@@ -597,8 +602,29 @@ def sample_equivariant_isometry(seed: int, word_length: int) -> Isometry:
 STRENGTHENED_PAIRINGS_PER_TRIAL = 10
 
 
+@lru_cache(maxsize=None)
+def _doubled_functional() -> IntMatrix:
+    """The 22x24 matrix whose row i is u -> _pairing(u, _doubled(l_i)), for the unit vectors l_i of Z^22.
+
+    It is built through _pairing and _doubled alone, by 528 pairings, once
+    per process; it reads neither T nor the Gram directly.
+    """
+    units = [tuple(int(i == j) for i in range(FULL_RANK)) for j in range(FULL_RANK)]
+    doubled = [_doubled(e[1:23]) for e in units[1:23]]  # e_1..e_22 of Z^24 hold the unit vectors of Z^22
+    return IntMatrix(H2_RANK, FULL_RANK, [_pairing(e, d) for d in doubled for e in units])
+
+
 def _phi_case(cfg: TrialConfig, word_length: int, trial: int) -> dict | None:
-    """Phi trial `trial`, a word of length at most word_length: None, or its counterexample."""
+    """Phi trial `trial`, a word of length at most word_length: None, or its counterexample.
+
+    _doubled is linear and _pairing bilinear, so _pairing(image, _doubled(l))
+    = g . l for every l in Z^22, where g = _doubled_functional() image. When
+    4 divides every g_i, every pairing with l + Tl is 0 mod 4, so the case
+    passes before its pairing draws, which are the last use of its substream.
+    Otherwise it draws the STRENGTHENED_PAIRINGS_PER_TRIAL classes and pairs
+    each with the image, as the sampled route is what builds the
+    counterexample, a class l whose pairing is not 0 mod 4.
+    """
     rng = substream(cfg.seed, trial)
     length = rng.integer(0, word_length)
     word_seed = rng.next_u64()
@@ -622,6 +648,8 @@ def _phi_case(cfg: TrialConfig, word_length: int, trial: int) -> dict | None:
             "image": list(image),
             "odd_degree2_indices": [i for i, c in enumerate(degree2) if c % 2],
         }
+    if not any(g % 4 for g in _doubled_functional().mul_vec(image)):
+        return None
     coords = rng.integers(-cfg.coord_bound, cfg.coord_bound, STRENGTHENED_PAIRINGS_PER_TRIAL * H2_RANK)
     for k in range(STRENGTHENED_PAIRINGS_PER_TRIAL):
         ell = coords[k * H2_RANK : (k + 1) * H2_RANK]

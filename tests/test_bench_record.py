@@ -156,3 +156,21 @@ def test_record_times_jobs1_and_the_interpreter_floor_and_notes_bytecode_writing
     assert list(rows) == ["verify_claims_s", "verify_phi_s", "verify_claims_jobs1_s", "verify_phi_jobs1_s", "python_floor_s"]
     floor = rows["python_floor_s"]
     assert floor == {"unit": "s", **record.summary(floor["values"])} and len(floor["values"]) == 3
+
+
+def test_record_where_git_fails_writes_commit_unknown_and_tree_differs_null(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-repository"))  # git fails, as in a `git archive` copy
+    root = _checkout(tmp_path / "this")
+    record = _record(monkeypatch, root, [], {root: ({}, True)})
+    fake_perfbench = record.perfbench
+    monkeypatch.setattr(
+        record, "perfbench", lambda *args, checkout=root: (fake_perfbench(*args, checkout)[0], {"kernel_backend": "pure"})
+    )
+    passed = subprocess.CompletedProcess([], 0, stdout="1 passed in 0.01s\n", stderr="")
+    monkeypatch.setattr(record, "run", lambda args, env=None, cwd=None: (passed, 0.04))
+    assert record.git("status") is None
+    record.record(7)
+
+    doc = json.loads((root / "BENCH_7.json").read_text())
+    assert doc["commit"] == "unknown"
+    assert doc["tree_differs_from_commit"] is None

@@ -36,7 +36,8 @@ every mutant and prints its counts:
 
     PYTHONPATH=src python tests/test_mutants.py
 
-It exits 1 if any mutant survives.
+It exits 1 if any mutant survives, or if a family's counts differ from
+PINNED_COUNTS.
 """
 import sys
 from operator import itemgetter
@@ -71,7 +72,12 @@ REFUSED = "raises ValueError: twisted_involution_matrix() refuses a T that does 
 COUNTEREXAMPLE = "fails, with a counterexample"
 
 # The caches built from T and the full Gram.
-CACHES = (mukai.twisted_involution_matrix, verify._invariant_basis, verify._generator_pool)
+CACHES = (
+    mukai.twisted_involution_matrix,
+    verify._invariant_basis,
+    verify._generator_pool,
+    verify._doubled_functional,
+)
 
 _T = mukai.twisted_involution_coords
 
@@ -274,11 +280,19 @@ def test_no_generated_mutant_survives(seam, family):
     assert survivors == []
 
 
+# The full sweep's counts of (counterexample, raise only, survive) for each
+# family. A change that moves them on purpose edits them here and says so.
+PINNED_COUNTS = {"T": (924, 228, 0), "Gram": (464, 136, 0)}
+
+
 def _sweep() -> int:
-    """Run every mutant of both families, print a table of outcomes and each survivor; 1 if any survives."""
+    """Run every mutant of both families and print a table of outcomes, each survivor and each count off its pin.
+
+    It returns 1 if any mutant survives or any family's counts differ from PINNED_COUNTS, else 0.
+    """
     print(f"| family | mutants | {CAUGHT} | {RAISED} | {SURVIVED} |")
     print("|---|---|---|---|---|")
-    survivors = []
+    survivors, moved = [], []
     with pytest.MonkeyPatch.context() as mp:
         for family, mutants in FAMILIES.items():
             counts = dict.fromkeys((CAUGHT, RAISED, SURVIVED), 0)
@@ -288,9 +302,23 @@ def _sweep() -> int:
                 if outcome is SURVIVED:
                     survivors.append(name)
             print(f"| {family} | {len(mutants):,} | {counts[CAUGHT]:,} | {counts[RAISED]:,} | {counts[SURVIVED]:,} |")
+            if tuple(counts.values()) != PINNED_COUNTS[family]:
+                moved.append(f"{family} counts {tuple(counts.values())}, pinned {PINNED_COUNTS[family]}")
     for name in survivors:
         print(f"survives: {name}")
-    return 1 if survivors else 0
+    for line in moved:
+        print(f"differs: {line}")
+    return 1 if survivors or moved else 0
+
+
+def test_sweep_exits_1_on_counts_off_their_pin(monkeypatch, capsys):
+    # T[0, 0] +1 doubles r, which the full Gram refuses: one "raise only".
+    monkeypatch.setitem(globals(), "FAMILIES", {"T": FAMILIES["T"][:1]})
+    monkeypatch.setitem(globals(), "PINNED_COUNTS", {"T": (0, 1, 0)})
+    assert _sweep() == 0
+    monkeypatch.setitem(globals(), "PINNED_COUNTS", {"T": (1, 0, 0)})
+    assert _sweep() == 1
+    assert "differs: T counts (0, 1, 0), pinned (1, 0, 0)" in capsys.readouterr().out
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import sys
 import tracemalloc
 from array import array
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 
 import pytest
@@ -458,6 +458,89 @@ class TestPhiFailureReporting:
         assert list(replayed) == ce["image"] and ce["square"] == verify._pairing(replayed, replayed) != 0
 
 
+@pytest.fixture
+def linear_doubled(monkeypatch):
+    """_doubled as the linear l -> (0, l, 0), phi's functional built from it, and cleared again after."""
+    verify._doubled_functional.cache_clear()
+    monkeypatch.setattr(verify, "_doubled", lambda ell: (0, *ell, 0))
+    yield
+    monkeypatch.undo()
+    verify._doubled_functional.cache_clear()
+
+
+def _phi_draws(cfg: TrialConfig, word_length: int, trial: int):
+    """Phi trial `trial`'s draws, one call per parameter: its length, word seed, image and ten classes."""
+    rng = substream(cfg.seed, trial)
+    length, word_seed = rng.integer(0, word_length), rng.next_u64()
+    image = verify._apply_word(verify._sample_word(word_seed, length), point_class().coords())
+    b = cfg.coord_bound
+    return length, word_seed, image, [rng.integers(-b, b, 22) for _ in range(verify.STRENGTHENED_PAIRINGS_PER_TRIAL)]
+
+
+def _phi_case_by_sampling(cfg: TrialConfig, word_length: int, trial: int) -> dict | None:
+    """An oracle for _phi_case: the image paired with l + Tl for each sampled class l, with no functional."""
+    length, word_seed, image, ells = _phi_draws(cfg, word_length, trial)
+    head = {"source": f"trial {trial}", "word_seed": word_seed, "word_length": length, "image": list(image)}
+    square = verify._pairing(image, image)
+    if square:
+        return {**head, "square": square}
+    odd = [i for i, c in enumerate(image[1:23]) if c % 2]
+    if odd:
+        return {**head, "odd_degree2_indices": odd}
+    for k, ell in enumerate(ells):
+        pairing = verify._pairing(image, verify._doubled(ell))
+        if pairing % 4:
+            failed = {"source": f"trial {trial}, pairing {k}", "ell": list(ell), "pairing": pairing}
+            return {**head, **failed, "pairing_mod_4": pairing % 4}
+    return None
+
+
+class TestPhiFunctional:
+    """_pairing(image, _doubled(l)) = g . l for g = _doubled_functional() image:
+    a case whose g is 0 mod 4 passes with no class drawn, and any other
+    case's ten sampled pairings build its counterexample as before."""
+
+    def test_functional_gives_every_sampled_pairing(self):
+        cfg = TrialConfig(trials=200, seed=13)
+        functional = verify._doubled_functional()
+        for trial in range(cfg.trials):
+            _, _, image, ells = _phi_draws(cfg, 8, trial)
+            g = functional.mul_vec(image)
+            for ell in ells:
+                assert sum(map(mul, g, ell)) == verify._pairing(image, verify._doubled(ell))
+
+    def test_a_passing_case_doubles_and_draws_no_class(self, monkeypatch):
+        cfg = TrialConfig(trials=50, seed=3)
+        assert verify._phi_case(cfg, 8, 0) is None  # builds the pool and the functional
+        doubled, draws = [], []
+        double, integers = verify._doubled, SplitMix64.integers
+        monkeypatch.setattr(verify, "_doubled", lambda ell: doubled.append(ell) or double(ell))
+        monkeypatch.setattr(SplitMix64, "integers", lambda rng, lo, hi, n: draws.append(n) or integers(rng, lo, hi, n))
+        assert all(verify._phi_case(cfg, 8, trial) is None for trial in range(cfg.trials))
+        assert doubled == []
+        assert draws and max(draws) <= 8  # the words' draws alone, none of STRENGTHENED_PAIRINGS_PER_TRIAL * 22
+
+    def test_linear_mutant_reports_as_the_sampling_oracle(self, linear_doubled):
+        cfg = TrialConfig(trials=40, seed=11)
+        expected = [_phi_case_by_sampling(cfg, 4, trial) for trial in range(cfg.trials)]
+        assert [verify._phi_case(cfg, 4, trial) for trial in range(cfg.trials)] == expected
+        first = next(trial for trial, ce in enumerate(expected) if ce is not None)
+        assert first > 0 and "pairing" in expected[first]["source"]
+        report = verify_phi_integrality(cfg, word_length=4)
+        assert json.dumps(report.check_json()) == json.dumps(
+            {"name": "phi-integrality", "passed": False, "trials_run": first + 1, "counterexample": expected[first]}
+        )
+
+    def test_functional_is_built_before_any_fork(self, monkeypatch):
+        verify._doubled_functional.cache_clear()
+        built, fork = [], os.fork
+        cache = verify._doubled_functional
+        monkeypatch.setattr(os, "fork", lambda: built.append(cache.cache_info().currsize) or fork())
+        assert verify_phi_integrality(TrialConfig(trials=20, seed=3), word_length=6, jobs=2).passed
+        assert built == [1]
+        _no_child_left()
+
+
 class TestTrialDraws:
     """Each trial draws its coordinates in one call; the values are those of
     one call per parameter, in the order the samplers use them."""
@@ -484,16 +567,13 @@ class TestTrialDraws:
             assert ce["source"] == f"kernel-basis sampler, trial {trial}"
             assert ce["coefficients"] == list(rng.integers(-50, 50, 12))
 
-    def test_phi_pairing_draws(self, monkeypatch):
-        calls = []
-        # The last pairing of trial 0 is off by one; its first is the isotropy check.
-        _shift_pairing(monkeypatch, lambda: len(calls.append(0) or calls) == 11)
-        ce = verify._phi_case(self.CFG, 4, 0)
-        rng = substream(self.CFG.seed, 0)
-        length, word_seed = rng.integer(0, 4), rng.next_u64()
-        ells = [rng.integers(-50, 50, 22) for _ in range(verify.STRENGTHENED_PAIRINGS_PER_TRIAL)]
-        assert ce["source"] == "trial 0, pairing 9"
-        assert (ce["word_length"], ce["word_seed"], ce["ell"]) == (length, word_seed, list(ells[9]))
+    def test_phi_pairing_draws(self, linear_doubled):
+        # Under the linear mutant the functional fails trial 1, so its ten
+        # pairings are drawn and evaluated, and pairing 2 is the first to fail.
+        ce = verify._phi_case(self.CFG, 4, 1)
+        length, word_seed, _, ells = _phi_draws(self.CFG, 4, 1)
+        assert ce["source"] == "trial 1, pairing 2"
+        assert (ce["word_length"], ce["word_seed"], ce["ell"]) == (length, word_seed, list(ells[2]))
 
     def test_word_draws(self):
         pool = verify._generator_pool()
